@@ -1,11 +1,23 @@
 """The flagship extraction pipeline: interleaved docs -> extracted docs.
 
-Ray-Data shape (SURVEY.md §3.1 "RD shape"):
+Ray-Data shape (SURVEY.md §3.1 "RD shape"). Each input row is one whole
+document, so by default no exchange is needed — one document-level actor
+call runs the whole row-local chain on a batch of documents:
+
+    read -> map_batches(DocOCRStage, concurrency=N)  # explode -> strip ->
+                                                     # OCR -> rebuild
+         -> write_parquet / Dataset
+
+The ``doc_id`` exchange runs only when an upstream step scatters a
+document's span rows across blocks: the ``media_ds`` shuffle join (rows are
+redistributed by ``media_ref``) and the salted two-phase path (a hot
+document is split across salt buckets on purpose):
 
     read -> map_batches(explode_spans)            # 1:N fan-out, zero-copy Arrow
          -> map_batches(strip_boilerplate)        # vectorized text routing
+         -> join(media_ds, on=media_ref)          # join path only
          -> map_batches(OCRStage, concurrency=N)  # stateful actor pool (media)
-         -> groupby(doc_id) / salted two-phase    # the reassembly shuffle
+         -> doc_id hash exchange / salted two-phase  # the reassembly shuffle
          -> write_parquet / Dataset
 
 Media strategy:
@@ -18,20 +30,19 @@ Media strategy:
 """
 from __future__ import annotations
 
+import logging
 import os
 from typing import Optional
 
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from ..stages.ocrstage import OCRStage
-from ..stages.reassemble import (
-    reassemble,
-    reassemble_hash,
-    reassemble_two_phase,
-)
+from ..stages.ocrstage import DocOCRStage, OCRStage
+from ..stages.reassemble import reassemble_hash, reassemble_two_phase
 from ..stages.route import explode_spans
 from ..stages.textstage import strip_boilerplate
+
+logger = logging.getLogger(__name__)
 
 
 def load_media_lookup(media_path: str):
@@ -78,7 +89,8 @@ def load_media_lookup(media_path: str):
 # with DATA, not shrink the target block
 SPAN_ROWS_PER_PARTITION = 2_000_000
 # average spans per interleaved doc (measured 7.6 on the synthetic corpus);
-# used only to size the shuffle, not for correctness
+# used only to size the shuffle and the document batch of the exchange-free
+# path, not for correctness
 EST_SPANS_PER_DOC = 8
 
 # broadcast the media table only while it fits comfortably next to the
@@ -143,25 +155,33 @@ def estimate_parquet_bytes(paths) -> Optional[int]:
 
 def _sample_max_spans(docs_ds, n: int = SALT_SAMPLE_DOCS) -> Optional[int]:
     """Max spans-per-doc over the first ``n`` documents (drives the
-    auto-salt trigger). Executes only enough read tasks to fill the limit;
-    the blocks pulled to the driver are n docs, not the corpus."""
+    auto-salt trigger, and with it the choice between the exchange-free
+    plan and the salted exchange). Executes only enough read tasks to fill
+    the limit; the blocks pulled to the driver are n docs, not the corpus.
+
+    None (with a warning) when the sample has no readable ``spans`` list
+    column; any other failure propagates."""
     import pyarrow.compute as pc
 
-    try:
-        mx = 0
-        for b in docs_ds.limit(n).iter_batches(
-            batch_size=None, batch_format="pyarrow"
-        ):
-            if b.num_rows:
-                v = pc.max(pc.list_value_length(b["spans"])).as_py()
-                mx = max(mx, int(v or 0))
-        return mx
-    except Exception:
-        return None
+    mx = 0
+    for b in docs_ds.limit(n).iter_batches(batch_size=None, batch_format="pyarrow"):
+        if not b.num_rows:
+            continue
+        try:
+            v = pc.max(pc.list_value_length(b["spans"])).as_py()
+        except (pa.ArrowException, KeyError) as e:
+            logger.warning(
+                "spans-per-doc sample failed (%s: %s); auto-salt falls back "
+                "to the unsalted plan", type(e).__name__, e,
+            )
+            return None
+        mx = max(mx, int(v or 0))
+    return mx
 
 
 def _auto_salt(docs_ds, row_budget: int = SALT_ROW_BUDGET) -> Optional[int]:
-    """None (default single-phase reassembly) or an n_salt for the salted
+    """None (unsalted plan: exchange-free with a broadcast lookup, one
+    ``doc_id`` exchange on the join path) or an n_salt for the salted
     two-phase path, decided from a sampled max-spans-per-doc estimate vs the
     per-group row budget — the pipeline never relies on a caller remembering
     the flag for pathological documents."""
@@ -192,7 +212,6 @@ def extract(
     two_phase_salt: "Optional[int] | str" = "auto",
     salt_row_budget: int = SALT_ROW_BUDGET,
     join_num_partitions: Optional[int] = None,
-    shuffle: str = "hash",
     shuffle_partitions: Optional[int] = None,
     approx_docs: Optional[int] = None,
     on_error: str = "raise",
@@ -200,10 +219,22 @@ def extract(
 ):
     """Run the full extraction pipeline; returns a documents-schema Dataset.
 
+    Input contract: one row of ``docs_ds`` is one whole document — a
+    ``doc_id`` appears in exactly one row, as in the documents schema and
+    every generator. The default plan relies on it: a document's span rows
+    never leave the actor call that produced them.
+
     Media strategy: pass ``media_lookup_ref`` (broadcast) or ``media_ds``
     (shuffle join) to choose explicitly, or ``media_path`` (parquet file /
     dir / list) to let :func:`choose_media_strategy` pick from the table's
     footer-estimated bytes vs the object store size.
+
+    Plan: with a broadcast lookup and no salting the plan is exchange-free
+    (``read -> DocOCRStage -> write``): each actor call explodes, strips,
+    OCRs (in span-row slices of at most ``ocr_batch_size``) and rebuilds a
+    batch of ``ocr_batch_size // EST_SPANS_PER_DOC`` documents. Only the
+    ``media_ds`` join and the salted path scatter a document's span rows,
+    so only they pay the ``doc_id`` hash exchange.
 
     Skew: ``two_phase_salt="auto"`` (default) samples max spans-per-doc and
     switches to the salted two-phase reassembly only when a hot document
@@ -253,6 +284,35 @@ def extract(
 
     cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
     aggregator_cpu_budget = max(1.0, cpus / 8)
+    if ocr_concurrency is None:
+        # kept identical on the exchange-free path: pool sizing is its own
+        # decision (a 2-actor pool on 4 CPUs stalled streaming jobs)
+        reserve = 2 + aggregator_cpu_budget
+        if two_phase_salt:
+            reserve += aggregator_cpu_budget  # second hash exchange
+        if media_ds is not None:
+            reserve += aggregator_cpu_budget
+        ocr_concurrency = max(1, int(cpus - reserve))
+    stage_kwargs = {
+        "media_lookup_ref": media_lookup_ref,
+        "scale": scale,
+        "on_error": on_error,
+        # stage extension seam (rotation TTA, preprocessor, ...)
+        **(ocr_stage_kwargs or {}),
+    }
+
+    if media_ds is None and not two_phase_salt:
+        # no step scatters a document's span rows: fuse the whole chain
+        # into one row-local actor call and skip the doc_id exchange
+        return docs_ds.map_batches(
+            DocOCRStage,
+            fn_constructor_kwargs={**stage_kwargs, "ocr_batch_size": ocr_batch_size},
+            batch_format="pyarrow",
+            batch_size=max(1, ocr_batch_size // EST_SPANS_PER_DOC),
+            zero_copy_batch=True,
+            concurrency=ocr_concurrency,
+        )
+
     if shuffle_partitions is None:
         n_docs = approx_docs if approx_docs is not None else _approx_input_rows(docs_ds)
         floor = max(2, cpus // 2)
@@ -264,13 +324,6 @@ def extract(
             shuffle_partitions = int(max(floor, min(cap, by_data)))
     if join_num_partitions is None:
         join_num_partitions = shuffle_partitions
-    if ocr_concurrency is None:
-        reserve = 2 + aggregator_cpu_budget
-        if two_phase_salt:
-            reserve += aggregator_cpu_budget  # second hash exchange
-        if media_ds is not None:
-            reserve += aggregator_cpu_budget
-        ocr_concurrency = max(1, int(cpus - reserve))
     spans = docs_ds.map_batches(
         explode_spans,
         batch_format="pyarrow",
@@ -288,20 +341,13 @@ def extract(
             on=("media_ref",),
         )
 
-    ocr_kwargs = dict(
-        fn_constructor_kwargs={
-            "media_lookup_ref": media_lookup_ref,
-            "scale": scale,
-            "on_error": on_error,
-            # stage extension seam (rotation TTA, preprocessor, ...)
-            **(ocr_stage_kwargs or {}),
-        },
+    processed = spans.map_batches(
+        OCRStage,
+        fn_constructor_kwargs=stage_kwargs,
         batch_format="pyarrow",
         batch_size=ocr_batch_size,
+        concurrency=ocr_concurrency,
     )
-    if ocr_concurrency is not None:
-        ocr_kwargs["concurrency"] = ocr_concurrency
-    processed = spans.map_batches(OCRStage, **ocr_kwargs)
 
     if two_phase_salt:
         return reassemble_two_phase(
@@ -310,10 +356,8 @@ def extract(
             num_partitions=shuffle_partitions,
             aggregator_cpu_budget=aggregator_cpu_budget,
         )
-    if shuffle == "hash":
-        return reassemble_hash(
-            processed,
-            num_partitions=shuffle_partitions,
-            aggregator_cpu_budget=aggregator_cpu_budget,
-        )
-    return reassemble(processed)
+    return reassemble_hash(
+        processed,
+        num_partitions=shuffle_partitions,
+        aggregator_cpu_budget=aggregator_cpu_budget,
+    )

@@ -14,6 +14,10 @@ batch are padded to the batch-max T with per-row ``valid_ratio``
 Media bytes come either from a ``bytes`` column (shuffle-join path, big media
 tables) or from a broadcast ``ray.put`` dict (map-side lookup, small media
 tables) — the two strategies of SURVEY.md §2.4.
+
+``DocOCRStage`` is the document-level form used when no exchange is needed:
+one call takes whole documents, runs explode -> strip -> ``OCRStage`` (in
+bounded span-row slices) -> rebuild, and returns document rows.
 """
 from __future__ import annotations
 
@@ -31,6 +35,10 @@ from ..functions.ocr import (
     pad_frame_batch,
     word_frame_logits,
 )
+from ..schema import DOCUMENTS_SCHEMA
+from .reassemble import _build_doc_rows
+from .route import explode_spans
+from .textstage import strip_boilerplate
 
 
 _HASH_B = np.uint64(0x9E3779B97F4A7C15)  # odd multiplier, wraps mod 2^64
@@ -361,3 +369,37 @@ class OCRStage:
 def _project_span_rows(batch: pa.Table) -> pa.Table:
     keep = ["doc_id", "offset", "kind", "text", "media_ref"]
     return batch.select(keep)
+
+
+class DocOCRStage(OCRStage):
+    """Document-level OCR actor: explode -> strip -> OCR -> rebuild in one
+    call, for plans where no upstream step scatters a document's span rows.
+
+    Input contract: one input row is one whole document — a ``doc_id``
+    appears in exactly one row, as in the documents schema and every
+    generator. Every span row of a document is then produced inside the
+    call that rebuilds it, so the ``doc_id`` exchange redistributes nothing
+    and is left out of the plan (the reference detects, recognizes and
+    stitches one document in one process, ``mmocr/utils/ocr.py:193-199``).
+
+    Recognition work per :meth:`OCRStage.__call__` stays bounded: the
+    exploded span rows run through it in slices of at most
+    ``ocr_batch_size`` rows (slices may straddle documents), so a document
+    with thousands of spans keeps the span-row path's batch and memory
+    bound. The whole document batch is rebuilt once at the end.
+    """
+
+    def __init__(self, *args, ocr_batch_size: int = 256, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.ocr_batch_size = ocr_batch_size
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        rows = strip_boilerplate(explode_spans(batch, with_sentinel=True))
+        step = self.ocr_batch_size
+        parts = [
+            OCRStage.__call__(self, rows.slice(i, step))
+            for i in range(0, rows.num_rows, step)
+        ]
+        if not parts:
+            return DOCUMENTS_SCHEMA.empty_table()
+        return _build_doc_rows(pa.concat_tables(parts))

@@ -1,14 +1,18 @@
 """Reassembly shuffle: span rows -> per-document ordered span sequences.
 
-The engine's one required all-to-all exchange (SURVEY.md §4): group processed
-span rows by ``doc_id`` and rebuild the ``spans`` list sorted by ``offset``.
-The reference never shuffles (one image per process, list order implicit,
-``ocr.py:193-199``); here order is restored explicitly from the carried
-``offset`` column so it survives any partitioning.
+Group processed span rows by ``doc_id`` and rebuild the ``spans`` list
+sorted by ``offset``. The reference never shuffles (one image per process,
+list order implicit, ``ocr.py:193-199``), and neither does the default
+extraction plan: each input row is a whole document, so
+``ocrstage.DocOCRStage`` calls :func:`_build_doc_rows` on the span rows it
+produced itself. The exchange is needed only where an upstream step
+scatters a document's span rows across blocks — the ``media_ref`` shuffle
+join and the salted two-phase path. Order is restored explicitly from the
+carried ``offset`` column so it survives any partitioning.
 
-Two strategies:
-- ``reassemble``            — single ``groupby(doc_id).map_groups``; fine when
-  per-doc span counts are bounded.
+Two exchange strategies:
+- ``reassemble_hash``       — one ``doc_id`` hash repartition, then a
+  vectorized per-block rebuild (the media-join path).
 - ``reassemble_two_phase``  — salted two-phase merge for skewed documents:
   partial per-(doc_id, salt) sorted sublists, then a final merge of the (at
   most ``n_salt``) sublists per doc. Bounds the largest group block at
@@ -74,14 +78,6 @@ def _build_doc_rows(group: pa.Table) -> pa.Table:
     return pa.Table.from_arrays([doc_ids, spans], schema=DOCUMENTS_SCHEMA)
 
 
-def reassemble(span_rows):
-    """span-row Dataset -> documents Dataset via groupby(doc_id) (sort-based
-    shuffle; see :func:`reassemble_hash` for the default hash exchange)."""
-    return span_rows.groupby("doc_id").map_groups(
-        _build_doc_rows, batch_format="pyarrow"
-    )
-
-
 def _configure_hash_shuffle(ds, num_partitions: int, aggregator_cpu_budget: float):
     """Set the hash-shuffle backend with a FIXED total aggregator CPU claim.
 
@@ -114,9 +110,7 @@ def reassemble_hash(
     ``repartition(keys=['doc_id'])`` is a hash exchange that co-locates every
     span row of a document in one output block; ``_build_doc_rows`` then
     rebuilds all documents of a block in one vectorized call
-    (``batch_size=None`` = whole block). This replaces the serial range-sort
-    the sort-based ``groupby`` plans on small clusters and is the
-    north-star shape: "explicitly repartitions by doc_id hash".
+    (``batch_size=None`` = whole block).
     """
     import ray
 
