@@ -36,7 +36,8 @@ def main(argv=None) -> int:
     p.add_argument("--docs", required=True, help="documents parquet dir/file")
     p.add_argument("--media", required=True, help="media parquet dir/file")
     p.add_argument("--out", required=True)
-    p.add_argument("--two-phase-salt", type=int, default=None)
+    p.add_argument("--two-phase-salt", type=int, default=None,
+                   help="salt buckets; absent = extract()'s auto decision")
 
     p = sub.add_parser("run", help="partitioned resumable extraction")
     p.add_argument("--docs", required=True)
@@ -79,10 +80,11 @@ def main(argv=None) -> int:
                 else [docs]
             )
             lookup = load_media_lookup(args.media)
+            salt = args.two_phase_salt
             result = extract(
                 ray.data.read_parquet(files),
                 media_lookup_ref=lookup,
-                two_phase_salt=args.two_phase_salt,
+                **({} if salt is None else {"two_phase_salt": salt}),
             )
             result.write_parquet(args.out)
             print(json.dumps({"status": "ok", "out": args.out}))

@@ -14,6 +14,7 @@ import numpy as np
 import pyarrow as pa
 
 from .functions.num import round_away, round_away_scalar
+from .sizing import actor_pool
 
 
 def _unit(m: np.ndarray) -> np.ndarray:
@@ -25,17 +26,6 @@ def _unit(m: np.ndarray) -> np.ndarray:
 
 def _batch_vectors(batch: pa.Table) -> np.ndarray:
     return np.stack(batch["embedding"].to_numpy(zero_copy_only=False))
-
-
-
-def _pool_size(requested: int) -> int:
-    """Cap an actor pool below the cluster CPU count: a pool that takes
-    every core starves upstream read/exchange tasks and deadlocks the
-    streaming executor on small clusters."""
-    import ray
-
-    cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    return max(1, min(requested, cpus - 1))
 
 
 class _TopKPartial:
@@ -105,7 +95,7 @@ def brute_force_topk(emb_ds, queries_ref, k: int = 5):
         _TopKPartial,
         batch_format="pyarrow",
         fn_constructor_args=(queries_ref, k),
-        concurrency=_pool_size(4),
+        concurrency=actor_pool(1, cap=4),
     )
     return partial.groupby("query_id").map_groups(
         _final_topk_factory(k), batch_format="pyarrow"
@@ -171,7 +161,7 @@ def knn_graph(emb_ds, k: int = 3, concurrency: int = 4):
     approximate recall). This exact kernel remains the per-cell inner loop.
     """
     refs = emb_ds.to_arrow_refs()
-    concurrency = _pool_size(concurrency)
+    concurrency = actor_pool(1, cap=concurrency)
     return emb_ds.map_batches(
         _KnnSelfJoin,
         batch_format="pyarrow",
@@ -307,7 +297,7 @@ def ivf_topk(emb_ds, queries_ref, centroids: np.ndarray, k: int = 5, nprobe: int
         _ProbedPartial,
         batch_format="pyarrow",
         fn_constructor_args=(queries_ref, k, cmat, nprobe),
-        concurrency=_pool_size(4),
+        concurrency=actor_pool(1, cap=4),
     )
     return partial.groupby("query_id").map_groups(
         _final_topk_factory(k), batch_format="pyarrow"

@@ -1294,10 +1294,11 @@ def epoch_shuffle(docs_ds, seed: int = 13, num_partitions: int | None = None):
     move."""
     from ray.data.aggregate import Sum
 
-    from .windows import _approx_source_rows, _hash_parts
+    from .sizing import approx_rows
+    from .windows import _hash_parts
 
     ids_only = docs_ds.select_columns(["doc_id"])
-    est = _approx_source_rows(ids_only) or 1_000_000
+    est = approx_rows(ids_only) or 1_000_000
     hex_digits = 2 if est < 1_000_000 else (3 if est < 100_000_000 else 4)
     n_buckets = 16 ** hex_digits
 

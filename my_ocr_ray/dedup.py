@@ -31,7 +31,7 @@ from .functions.textproc import (
 
 
 # Conservative per-document row-expansion estimates used ONLY for exchange
-# sizing: windows._approx_source_rows reports SOURCE rows (documents), but
+# sizing: sizing.approx_rows reports SOURCE rows (documents), but
 # gram/line/passage exchanges carry the EXPLODED rows, so sizing from doc
 # rows under-partitions by the expansion factor at scale (the factor is a
 # sizing heuristic, never a correctness input — partial counts stay exact).
@@ -170,10 +170,11 @@ def lsh_candidate_pairs(
     hamming-LSH family), and the cross-band pair dedup is a second skinny
     exchange + per-block Arrow ``group_by``. A band bucket above
     ``max_bucket_rows`` raises instead of silently going quadratic."""
-    from .windows import _approx_source_rows, _hash_parts
+    from .sizing import approx_rows
+    from .windows import _hash_parts
 
     # band rows = docs x n_bands: tell the exchange sizer about the fan-out
-    n_docs = _approx_source_rows(docs_ds)
+    n_docs = approx_rows(docs_ds)
     band_rows_est = None if n_docs is None else n_docs * (num_hashes // band_size)
 
     bands = docs_ds.map_batches(
@@ -443,10 +444,10 @@ def split_leakage(docs_ds, num_hashes: int = 4, band_size: int = 2, k: int = 3,
             [batch["doc_id"], batch["text"]], names=["doc_b", "text_b"]
         )
 
-    from .stages.reassemble import _configure_hash_shuffle
+    from .sizing import configure_hash_shuffle
 
     # pin the join aggregator pools' CPU claim (fixed budget / partitions)
-    _configure_hash_shuffle(pairs, num_partitions, 4.0)
+    configure_hash_shuffle(pairs, num_partitions, 4.0)
     j = pairs.join(
         docs_ds.map_batches(as_a, batch_format="pyarrow"),
         join_type="inner", num_partitions=num_partitions, on=("doc_a",),
@@ -1107,9 +1108,9 @@ def passage_dedup(docs_ds, chunk: int = 20, num_partitions: int | None = None):
             }
         )
 
-    from .windows import _approx_source_rows as _src_rows
+    from .sizing import approx_rows
 
-    est_docs = _src_rows(docs_ds)
+    est_docs = approx_rows(docs_ds)
     passage_rows = (est_docs or 0) * PASSAGES_PER_DOC_EST or None
     parts = _hash_parts(
         docs_ds.map_batches(passages, batch_format="pyarrow"),
@@ -1251,14 +1252,14 @@ def incremental_dedup(new_docs_ds, known_docs_ds, path: str | None = None,
 
     from .analysis import fingerprint_batch
     from .relational import broadcast_semi_anti_join
-    from .windows import _approx_source_rows, _size_partitions
+    from .sizing import approx_rows, configure_hash_shuffle, exchange_partitions
 
     known_fps = known_docs_ds.map_batches(
         fingerprint_batch, batch_format="pyarrow"
     )
     new_fps = new_docs_ds.map_batches(fingerprint_batch, batch_format="pyarrow")
     if path is None:
-        est = _approx_source_rows(known_docs_ds)
+        est = approx_rows(known_docs_ds)
         path = (
             "join"
             if est is not None and est > broadcast_threshold
@@ -1270,24 +1271,13 @@ def incremental_dedup(new_docs_ds, known_docs_ds, path: str | None = None,
             anti=True,
         )
     else:
-        import ray
-
         if num_partitions is None:
-            cpus = (
-                int(ray.cluster_resources().get("CPU", 8))
-                if ray.is_initialized()
-                else 8
-            )
-            num_partitions = _size_partitions(
-                _approx_source_rows(known_docs_ds), cpus
-            )
-        from .stages.reassemble import _configure_hash_shuffle
-
+            num_partitions = exchange_partitions(approx_rows(known_docs_ds))
         # pin the join aggregator pool's CPU claim (fixed total budget /
         # partitions) — without this Ray's min(1, CPU/2/partitions)
         # heuristic can claim ~half the cluster and contend with
         # neighbouring actor pools (the CLAUDE.md resource-fit invariant)
-        _configure_hash_shuffle(new_fps, num_partitions, 4.0)
+        configure_hash_shuffle(new_fps, num_partitions, 4.0)
         fresh = new_fps.join(
             known_fps.select_columns(["fp"]),
             join_type="left_anti",
@@ -1486,21 +1476,13 @@ def _scrub_passages_join(docs_ds, drops, chunk: int,
     (key-hash co-partitioned), then one doc_id-keyed exchange rebuilds
     every document per block. ``drops`` must carry a matching ``key``
     column. Value-identical to the broadcast paths (pinned by tests)."""
-    import ray
-
-    from .windows import _approx_source_rows, _hash_parts, _size_partitions
+    from .sizing import approx_rows, exchange_partitions
+    from .windows import _hash_parts
 
     if num_partitions is None:
-        cpus = (
-            int(ray.cluster_resources().get("CPU", 8))
-            if ray.is_initialized()
-            else 8
-        )
         # the join carries EXPLODED rows, not documents — size accordingly
-        est = _approx_source_rows(docs_ds)
-        num_partitions = _size_partitions(
-            est * PASSAGES_PER_DOC_EST if est else None, cpus
-        )
+        est = approx_rows(docs_ds)
+        num_partitions = exchange_partitions(est * PASSAGES_PER_DOC_EST if est else None)
 
     def keyed_passages(batch: pa.Table) -> pa.Table:
         p = _passage_rows(batch, chunk, with_text=True)
@@ -1642,9 +1624,9 @@ def drop_frequent_lines(docs_ds, chunk: int = 5, min_count: int = 3,
             {"key": denc.dictionary.filter(pa.array(tot >= min_count))}
         )
 
-    from .windows import _approx_source_rows as _src_rows
+    from .sizing import approx_rows
 
-    est_docs = _src_rows(docs_ds)
+    est_docs = approx_rows(docs_ds)
     drops = (
         _hash_parts(
             docs_ds.map_batches(skinny_counts, batch_format="pyarrow"),
@@ -1847,9 +1829,9 @@ def dup_span_stats(docs_ds, n: int = 8, num_partitions: int | None = None,
         uk = ks[np.concatenate(([True], ks[1:] != ks[:-1]))]
         return pa.Table.from_pydict({"key": pa.array(uk[tot >= 2], pa.int64())})
 
-    from .windows import _approx_source_rows as _src_rows
+    from .sizing import approx_rows
 
-    est_docs = _src_rows(docs_ds)
+    est_docs = approx_rows(docs_ds)
     dups = (
         _hash_parts(
             docs_ds.map_batches(skinny_counts, batch_format="pyarrow"),
@@ -1906,21 +1888,13 @@ def _dup_span_stats_join(docs_ds, dups, n: int,
     zero-gram docs survive — left-outer join the dup-key list, then one
     doc_id-keyed exchange computes interval-union coverage per block.
     Value-identical to the broadcast path (pinned by test)."""
-    import ray
-
-    from .windows import _approx_source_rows, _hash_parts, _size_partitions
+    from .sizing import approx_rows, exchange_partitions
+    from .windows import _hash_parts
 
     if num_partitions is None:
-        cpus = (
-            int(ray.cluster_resources().get("CPU", 8))
-            if ray.is_initialized()
-            else 8
-        )
         # the join carries EXPLODED rows, not documents — size accordingly
-        est = _approx_source_rows(docs_ds)
-        num_partitions = _size_partitions(
-            est * GRAMS_PER_DOC_EST if est else None, cpus
-        )
+        est = approx_rows(docs_ds)
+        num_partitions = exchange_partitions(est * GRAMS_PER_DOC_EST if est else None)
 
     def gram_rows(batch: pa.Table) -> pa.Table:
         doc_row, s, key, tok_counts = _gram_keys(batch, n)
@@ -2480,11 +2454,11 @@ def neardup_edit_stats(
             [batch["doc_id"], batch["text"]], names=["doc_b", "text_b"]
         )
 
-    from .stages.reassemble import _configure_hash_shuffle
+    from .sizing import configure_hash_shuffle
 
     # pin the two id-keyed join aggregator pools' CPU claim (same fixed
     # budget as shipping_revenue) so they never contend with neighbours
-    _configure_hash_shuffle(pairs, num_partitions, 4.0)
+    configure_hash_shuffle(pairs, num_partitions, 4.0)
     j = pairs.join(
         docs_ds.map_batches(as_a, batch_format="pyarrow"),
         join_type="inner", num_partitions=num_partitions, on=("doc_a",),

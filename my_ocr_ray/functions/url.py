@@ -84,9 +84,10 @@ def public_suffix(host: str) -> str:
     """The host's public suffix per the PSL algorithm: the longest matching
     rule wins; an exception rule beats wildcards and names the suffix one
     label SHORTER than itself; with no match the implicit ``*`` default
-    makes the last label the suffix."""
+    makes the last label the suffix. Case and a trailing root dot are
+    ignored."""
     exact, wild, exc = _load_psl()
-    labels = host.split(".")
+    labels = host.lower().rstrip(".").split(".")
     # scan candidate suffixes longest-first so the first hit is the winner
     for i in range(len(labels)):
         cand = ".".join(labels[i:])
@@ -235,8 +236,12 @@ def registered_domain(host: str) -> str:
     ``b.co.uk``; ``foo.github.io`` -> ``foo.github.io`` (private-section
     suffix).  IPs and single-label hosts are returned unchanged, and a
     host that IS a public suffix (``co.uk``) comes back unchanged too —
-    crawl keys must never be empty."""
-    if not host or host.startswith("[") or host.replace(".", "").isdigit():
+    crawl keys must never be empty. The host is lowercased and a trailing
+    root dot dropped first (``Example.COM.`` -> ``example.com``)."""
+    if not host:
+        return host
+    host = host.lower().rstrip(".")
+    if host.startswith("[") or host.replace(".", "").isdigit():
         return host
     labels = host.split(".")
     if len(labels) < 2:

@@ -37,6 +37,7 @@ from typing import Optional
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+from ..sizing import actor_pool, approx_rows, cluster_cpus, hash_partitions
 from ..stages.ocrstage import DocOCRStage, OCRStage
 from ..stages.reassemble import reassemble_hash, reassemble_two_phase
 from ..stages.route import explode_spans
@@ -80,14 +81,6 @@ def load_media_lookup(media_path: str):
     return _build.remote(media_path)
 
 
-# target span rows per shuffle partition: scales partition count LINEARLY
-# with data volume once partitions would exceed ~2M rows (~170MB blocks,
-# ~1.5s vectorized rebuild each) while keeping the floor at cpus/2.
-# Measured: shuffle messaging is O(input blocks x partitions), so an
-# aggressive 250k-row target (52 partitions at 1.6M docs) cost 20% end-to-end
-# throughput vs 16 partitions with zero tail benefit — partitions must grow
-# with DATA, not shrink the target block
-SPAN_ROWS_PER_PARTITION = 2_000_000
 # average spans per interleaved doc (measured 7.6 on the synthetic corpus);
 # used only to size the shuffle and the document batch of the exchange-free
 # path, not for correctness
@@ -101,7 +94,7 @@ EST_SPANS_PER_DOC = 8
 MEDIA_BROADCAST_FRACTION = 0.25
 
 # auto-salt trigger: a single document whose span rows approach a healthy
-# shuffle block (SPAN_ROWS_PER_PARTITION) serializes its rebuild in one
+# shuffle block (sizing.ROWS_PER_HASH_PARTITION) serializes its rebuild in one
 # aggregator; beyond this per-doc row budget the salted two-phase merge
 # splits the hot doc across n_salt partitions
 SALT_ROW_BUDGET = 250_000
@@ -179,25 +172,16 @@ def _sample_max_spans(docs_ds, n: int = SALT_SAMPLE_DOCS) -> Optional[int]:
     return mx
 
 
-def _auto_salt(docs_ds, row_budget: int = SALT_ROW_BUDGET) -> Optional[int]:
+def _auto_salt(docs_ds) -> Optional[int]:
     """None (unsalted plan: exchange-free with a broadcast lookup, one
     ``doc_id`` exchange on the join path) or an n_salt for the salted
     two-phase path, decided from a sampled max-spans-per-doc estimate vs the
-    per-group row budget — the pipeline never relies on a caller remembering
-    the flag for pathological documents."""
+    per-group row budget ``SALT_ROW_BUDGET`` — the pipeline never relies on
+    a caller remembering the flag for pathological documents."""
     mx = _sample_max_spans(docs_ds)
-    if not mx or mx * SALT_TAIL_SAFETY <= row_budget:
+    if not mx or mx * SALT_TAIL_SAFETY <= SALT_ROW_BUDGET:
         return None
-    return int(max(8, min(64, -(-mx * SALT_TAIL_SAFETY // row_budget))))
-
-
-def _approx_input_rows(ds) -> Optional[int]:
-    """Row count from metadata only (parquet stats / in-memory tables) —
-    never triggers execution; None when the input has no cheap count."""
-    try:
-        return ds._meta_count()
-    except Exception:
-        return None
+    return int(max(8, min(64, -(-mx * SALT_TAIL_SAFETY // SALT_ROW_BUDGET))))
 
 
 def extract(
@@ -206,14 +190,9 @@ def extract(
     media_ds=None,
     *,
     media_path=None,
-    scale: int = 2,
     ocr_concurrency: Optional[int] = None,
     ocr_batch_size: int = 256,
     two_phase_salt: "Optional[int] | str" = "auto",
-    salt_row_budget: int = SALT_ROW_BUDGET,
-    join_num_partitions: Optional[int] = None,
-    shuffle_partitions: Optional[int] = None,
-    approx_docs: Optional[int] = None,
     on_error: str = "raise",
     ocr_stage_kwargs: Optional[dict] = None,
 ):
@@ -238,15 +217,17 @@ def extract(
 
     Skew: ``two_phase_salt="auto"`` (default) samples max spans-per-doc and
     switches to the salted two-phase reassembly only when a hot document
-    would exceed ``salt_row_budget`` rows in one group block.
+    would exceed ``SALT_ROW_BUDGET`` rows in one group block.
 
-    Resource auto-sizing: the OCR actor pool, the hash-shuffle aggregators
-    and the join aggregators must all fit on the cluster simultaneously or
-    the streaming executor stalls — when ``ocr_concurrency`` is None it is
-    sized to what's left after reserving for shuffles and IO tasks.
+    Resource auto-sizing (``my_ocr_ray.sizing``): the OCR actor pool, the
+    hash-shuffle aggregators and the join aggregators must all fit on the
+    cluster simultaneously or the streaming executor stalls — when
+    ``ocr_concurrency`` is None it is sized to what's left after reserving
+    for shuffles and IO tasks.
 
-    Shuffle sizing: the partition count scales with the INPUT SIZE (estimated
-    span rows / ``SPAN_ROWS_PER_PARTITION``), floored at one per two CPUs and
+    Shuffle sizing: the partition count (shared by the join and the
+    ``doc_id`` exchange) scales with the INPUT SIZE (estimated span rows /
+    ``sizing.ROWS_PER_HASH_PARTITION``), floored at one per two CPUs and
     capped at 4x CPUs; the aggregator CPU claim stays a fixed budget
     (~cpus/8) regardless of partition count by shrinking the per-partition
     claim, so growing data never shrinks the OCR pool.
@@ -280,9 +261,9 @@ def extract(
                 files, columns=["media_ref", "bytes"]
             )
     if two_phase_salt == "auto":
-        two_phase_salt = _auto_salt(docs_ds, salt_row_budget)
+        two_phase_salt = _auto_salt(docs_ds)
 
-    cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
+    cpus = cluster_cpus()
     aggregator_cpu_budget = max(1.0, cpus / 8)
     if ocr_concurrency is None:
         # kept identical on the exchange-free path: pool sizing is its own
@@ -292,10 +273,9 @@ def extract(
             reserve += aggregator_cpu_budget  # second hash exchange
         if media_ds is not None:
             reserve += aggregator_cpu_budget
-        ocr_concurrency = max(1, int(cpus - reserve))
+        ocr_concurrency = actor_pool(reserve)
     stage_kwargs = {
         "media_lookup_ref": media_lookup_ref,
-        "scale": scale,
         "on_error": on_error,
         # stage extension seam (rotation TTA, preprocessor, ...)
         **(ocr_stage_kwargs or {}),
@@ -313,17 +293,12 @@ def extract(
             concurrency=ocr_concurrency,
         )
 
-    if shuffle_partitions is None:
-        n_docs = approx_docs if approx_docs is not None else _approx_input_rows(docs_ds)
-        floor = max(2, cpus // 2)
-        cap = max(floor, min(512, 4 * cpus))
-        if n_docs is None:
-            shuffle_partitions = min(16, floor)
-        else:
-            by_data = -(-n_docs * EST_SPANS_PER_DOC // SPAN_ROWS_PER_PARTITION)
-            shuffle_partitions = int(max(floor, min(cap, by_data)))
-    if join_num_partitions is None:
-        join_num_partitions = shuffle_partitions
+    n_docs = approx_rows(docs_ds)
+    shuffle_partitions = hash_partitions(
+        None if n_docs is None else n_docs * EST_SPANS_PER_DOC,
+        cpus,
+        floor=max(2, cpus // 2),
+    )
     spans = docs_ds.map_batches(
         explode_spans,
         batch_format="pyarrow",
@@ -337,7 +312,7 @@ def extract(
         spans = spans.join(
             media_ds.select_columns(["media_ref", "bytes"]),
             join_type="left_outer",
-            num_partitions=join_num_partitions,
+            num_partitions=shuffle_partitions,
             on=("media_ref",),
         )
 

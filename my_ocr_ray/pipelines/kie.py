@@ -143,25 +143,16 @@ class KIEGraphStage:
 def kie_rowcol(docs_ds, ncols: int = NCOLS, concurrency: int | None = None):
     """documents -> per-doc KIE table-structure metrics via the actor-pool
     graph stage. Pure map-side: zero exchanges, streams at any scale."""
-    import ray
-
     if concurrency is None:
         # map-side only (no exchanges compete for CPUs) — size the pool to
         # the cluster (reserving two cores for the parquet read tasks) but
         # never beyond the work available: actor startup is the whole cost
         # on small inputs (~500 docs/actor floor), while big inputs get
         # every core
-        from ..windows import _approx_source_rows
+        from ..sizing import actor_pool, approx_rows
 
-        cpus = (
-            int(ray.cluster_resources().get("CPU", 8))
-            if ray.is_initialized()
-            else 8
-        )
-        rows = _approx_source_rows(docs_ds)
-        concurrency = max(1, cpus - 2)
-        if rows is not None:
-            concurrency = max(1, min(concurrency, -(-int(rows) // 500)))
+        rows = approx_rows(docs_ds)
+        concurrency = actor_pool(2, cap=None if rows is None else -(-int(rows) // 500))
     return docs_ds.map_batches(
         KIEGraphStage,
         batch_format="pyarrow",

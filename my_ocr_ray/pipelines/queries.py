@@ -39,12 +39,13 @@ def _read(sf_dir: str, table: str, columns=None, min_blocks: int | None = None,
     lesson (DESIGN.md §5b) applied to the read."""
     import os
 
-    import ray
     import ray.data
+
+    from ..sizing import cluster_cpus
 
     path = f"{sf_dir}/{table}.parquet"
     nbytes = os.path.getsize(path)
-    cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
+    cpus = cluster_cpus()
     blocks = int(max(1, min(cpus * 2, nbytes // (8 << 20) + 1)))
     if min_blocks is not None:
         blocks = max(blocks, min(min_blocks, cpus * 2))
@@ -70,15 +71,13 @@ def _png_media(media):
     )
 
 
-def _decode_pool(reserve: int = 4, cap: int = 24) -> int:
+def _decode_pool(cap: int = 24) -> int:
     """Actor-pool ceiling for per-row decode stages (PDF/WAV/PNG/glyph):
-    cluster CPUs minus a reserve for the upstream render tasks and IO,
-    never the whole cluster (a full-width pool starves upstream tasks and
-    stalls the streaming executor — CLAUDE.md resource-fit invariant)."""
-    import ray
+    cluster CPUs minus 4 for the upstream render tasks and IO, at least 2
+    actors (the resource-fit rule, DESIGN.md §2)."""
+    from ..sizing import actor_pool
 
-    cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    return max(2, min(cap, cpus - reserve, cpus - 1))
+    return actor_pool(4, cap=cap, floor=2)
 
 
 # ---------------------------------------------------------------------------

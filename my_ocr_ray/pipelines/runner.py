@@ -38,20 +38,19 @@ def _partition_files(input_dir: str, num_partitions: int) -> list[list[str]]:
     return groups
 
 
+SPAN_KINDS = ("text", "html", "pdf", "media")
+METRIC_COLS = ["docs", "spans", *(f"{k}_spans" for k in SPAN_KINDS)]
+
+
 def _span_metrics(tbl: pa.Table) -> dict:
-    flat = pc.list_flatten(tbl["spans"].combine_chunks())
-    kinds = flat.field("kind")
+    kinds = pc.list_flatten(tbl["spans"].combine_chunks()).field("kind")
+    counts = {
+        vc["values"].as_py(): vc["counts"].as_py() for vc in pc.value_counts(kinds)
+    }
     return {
         "docs": tbl.num_rows,
         "spans": len(kinds),
-        "text_spans": pc.sum(
-            pc.cast(pc.equal(kinds, "text"), pa.int64())
-        ).as_py()
-        or 0,
-        "media_spans": pc.sum(
-            pc.cast(pc.equal(kinds, "media"), pa.int64())
-        ).as_py()
-        or 0,
+        **{f"{k}_spans": counts.get(k, 0) for k in SPAN_KINDS},
     }
 
 
@@ -69,11 +68,10 @@ def _distributed_span_metrics(files: list[str]) -> dict:
     partials = ray.data.read_parquet(files, columns=["spans"]).map_batches(
         _metrics_batch, batch_format="pyarrow"
     )
-    cols = ["docs", "spans", "text_spans", "media_spans"]
-    sums = partials.sum(cols)
+    sums = partials.sum(METRIC_COLS)
     if sums is None:  # empty partition
-        return {c: 0 for c in cols}
-    return {c: int(sums[f"sum({c})"]) for c in cols}
+        return {c: 0 for c in METRIC_COLS}
+    return {c: int(sums[f"sum({c})"]) for c in METRIC_COLS}
 
 
 def _check_run_config(out_dir: str, num_partitions: int) -> None:
@@ -105,15 +103,12 @@ def run_extract_partitioned(
     out_dir: str,
     *,
     num_partitions: int = 16,
-    scale: int = 2,
-    ocr_concurrency=None,  # None = extract() auto-sizes to the session
-                           # (the resource-fit invariant: a fixed pool can
-                           # starve the shuffle aggregators on small hosts)
-    ocr_batch_size: int = 256,
-    two_phase_salt: int | None = None,
     max_partitions: int | None = None,
 ) -> dict:
     """Run all incomplete partitions; returns a summary dict.
+
+    Each partition runs ``extract()`` with its defaults (auto-sized OCR
+    pool, ``two_phase_salt="auto"``) against the broadcast media lookup.
 
     ``max_partitions`` bounds how many partitions this invocation processes
     (used by the resume test to simulate a mid-job kill).
@@ -143,14 +138,7 @@ def run_extract_partitioned(
             shutil.rmtree(pdir)
         ds = ray.data.read_parquet(files)
         rows_in = ds.count()
-        result = extract(
-            ds,
-            media_lookup_ref=lookup,
-            scale=scale,
-            ocr_concurrency=ocr_concurrency,
-            ocr_batch_size=ocr_batch_size,
-            two_phase_salt=two_phase_salt,
-        )
+        result = extract(ds, media_lookup_ref=lookup)
         os.makedirs(pdir, exist_ok=True)
         result.write_parquet(pdir)
         out_files = sorted(glob.glob(os.path.join(pdir, "*.parquet")))

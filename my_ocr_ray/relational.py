@@ -293,8 +293,8 @@ def shipping_revenue(
     neighbouring stages. Output dates are epoch seconds (int64)."""
     import ray
 
-    from .windows import _approx_source_rows, _size_partitions
     from .functions.num import round_away
+    from .sizing import approx_rows, configure_hash_shuffle, exchange_partitions
 
     ck_ref = ray.put(np.sort(np.asarray(cust_keys, dtype=np.int64)))
 
@@ -342,7 +342,7 @@ def shipping_revenue(
     # driver — bytes are fixed by the (pre-filter) row estimate, not data
     from .corpus import BloomFilter
 
-    est = _approx_source_rows(orders_ds) or 1_000_000
+    est = approx_rows(orders_ds) or 1_000_000
     proto = BloomFilter(est, bits_per_item=16, k=7)
     n_bits, k_hashes = proto.n_bits, proto.k
 
@@ -389,18 +389,11 @@ def shipping_revenue(
     if join_num_partitions is None:
         # data-scaled join partitions (the engine-wide sizing rule):
         # grow with the PROBE side's source rows, floor at 8
-        cpus = int(ray.cluster_resources().get("CPU", 8)) if (
-            ray.is_initialized()
-        ) else 8
-        join_num_partitions = _size_partitions(
-            _approx_source_rows(lineitem_ds), cpus
-        )
+        join_num_partitions = exchange_partitions(approx_rows(lineitem_ds))
     # pin the join aggregator pool's total CPU claim exactly as
     # _hash_parts does for keyed exchanges — at the partition cap an
     # unbudgeted pool (0.25 CPU x 128 partitions) would claim every core
-    from .stages.reassemble import _configure_hash_shuffle
-
-    _configure_hash_shuffle(li, join_num_partitions, 4.0)
+    configure_hash_shuffle(li, join_num_partitions, 4.0)
     joined = li.join(
         orders_q,
         join_type="inner",

@@ -28,6 +28,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..schema import DOCUMENTS_SCHEMA, SPAN_STRUCT
+from ..sizing import configure_hash_shuffle
 
 
 def _spans_struct(tbl: pa.Table, order: np.ndarray) -> pa.StructArray:
@@ -78,48 +79,16 @@ def _build_doc_rows(group: pa.Table) -> pa.Table:
     return pa.Table.from_arrays([doc_ids, spans], schema=DOCUMENTS_SCHEMA)
 
 
-def _configure_hash_shuffle(ds, num_partitions: int, aggregator_cpu_budget: float):
-    """Set the hash-shuffle backend with a FIXED total aggregator CPU claim.
-
-    The aggregator pool claims (per-partition-cpus x num_partitions) total;
-    with a fixed per-partition claim, growing the partition count with data
-    volume would eat the whole cluster (or deadlock against the OCR actor
-    pool). Dividing a fixed budget by the partition count keeps the claim
-    constant, so partition count is free to scale with data size."""
-    from ray.data.context import ShuffleStrategy
-
-    ds.context.shuffle_strategy = ShuffleStrategy.HASH_SHUFFLE
-    per_part = min(0.25, max(0.02, aggregator_cpu_budget / num_partitions))
-    ds.context.hash_shuffle_operator_actor_num_cpus_per_partition_override = per_part
-    # Downstream groupby/aggregate stages in the same plan inherit this
-    # context. Without the overrides below they plan
-    # default_hash_shuffle_parallelism=200 partitions — an aggregator pool
-    # far larger than the data, the cluster, or (on a 4-CPU test cluster)
-    # the available CPUs, which stalls the streaming executor outright.
-    ds.context.default_hash_shuffle_parallelism = num_partitions
-    ds.context.hash_aggregate_operator_actor_num_cpus_per_partition_override = per_part
-
-
-def reassemble_hash(
-    span_rows,
-    num_partitions: int | None = None,
-    aggregator_cpu_budget: float = 4.0,
-):
+def reassemble_hash(span_rows, num_partitions: int, aggregator_cpu_budget: float):
     """Explicit doc_id-hash repartition -> per-block vectorized rebuild.
 
     ``repartition(keys=['doc_id'])`` is a hash exchange that co-locates every
     span row of a document in one output block; ``_build_doc_rows`` then
     rebuilds all documents of a block in one vectorized call
-    (``batch_size=None`` = whole block).
+    (``batch_size=None`` = whole block). ``extract()`` sizes the exchange
+    (``sizing.hash_partitions``) and its aggregator CPU budget.
     """
-    import ray
-
-    if num_partitions is None:
-        # one partition per CPU, capped — aggregator actors must fit next to
-        # the OCR actor pool (see _configure_hash_shuffle)
-        cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-        num_partitions = max(2, min(64, cpus))
-    _configure_hash_shuffle(span_rows, num_partitions, aggregator_cpu_budget)
+    configure_hash_shuffle(span_rows, num_partitions, aggregator_cpu_budget)
     parts = span_rows.repartition(num_blocks=num_partitions, keys=["doc_id"])
     return parts.map_batches(
         _build_doc_rows, batch_format="pyarrow", batch_size=None,
@@ -148,10 +117,7 @@ def _merge_partials(group: pa.Table) -> pa.Table:
 
 
 def reassemble_two_phase(
-    span_rows,
-    n_salt: int = 8,
-    num_partitions: int | None = None,
-    aggregator_cpu_budget: float = 4.0,
+    span_rows, n_salt: int, num_partitions: int, aggregator_cpu_budget: float
 ):
     """Salted two-phase reassembly for skewed multi-span documents.
 
@@ -161,15 +127,10 @@ def reassemble_two_phase(
     lists; phase 2 hash-partitions the (at most ``n_salt``) partial rows
     per doc on doc_id and merges.
     """
-    import ray
-
-    if num_partitions is None:
-        cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-        num_partitions = max(2, min(16, cpus // 2))
     salted = span_rows.map_batches(
         _partial_key, batch_format="pyarrow", fn_kwargs={"n_salt": n_salt}
     )
-    _configure_hash_shuffle(salted, num_partitions, aggregator_cpu_budget)
+    configure_hash_shuffle(salted, num_partitions, aggregator_cpu_budget)
     partial = salted.repartition(
         num_blocks=num_partitions, keys=["doc_id", "salt"]
     ).map_batches(

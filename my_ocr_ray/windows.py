@@ -20,6 +20,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from . import sizing
 from .functions.tables import agg_named
 
 
@@ -121,96 +122,31 @@ def _sessions_for_group(group: pa.Table, gap_sec: int) -> pa.Table:
     )
 
 
-# target rows per hash partition: partition count grows LINEARLY with data
-# once a partition would exceed ~2M rows, while the floor keeps small inputs
-# on a handful of aggregator actors (startup scales with the pool: measured
-# 32 partitions ~11s vs 8 partitions ~2s for the same 100k-row exchange).
-# Same policy as pipelines/extract.py SPAN_ROWS_PER_PARTITION.
-ROWS_PER_HASH_PARTITION = 2_000_000
-
-
-def _approx_source_rows(ds) -> int | None:
-    """Best-effort row estimate WITHOUT executing the plan: the dataset's
-    own metadata count when known, else the largest source-Read row count
-    found by walking the logical plan (parquet footers carry exact counts).
-    Derived datasets (post-map) lose their own count but keep their Read
-    ancestry, so exchange sizing still tracks input data volume; callers
-    whose transform expands rows (LSH bands, n-gram explode) pass an
-    explicit ``approx_rows`` with the expansion factor applied."""
-    try:
-        n = ds._meta_count()
-        if n is not None:
-            return int(n)
-    except Exception:
-        pass
-    try:
-        best = None
-        stack = [ds._plan._logical_plan.dag]
-        while stack:
-            op = stack.pop()
-            try:
-                meta = op.infer_metadata()
-                if meta.num_rows is not None:
-                    best = max(best or 0, int(meta.num_rows))
-            except Exception:
-                pass
-            stack.extend(op.input_dependencies)
-        return best
-    except Exception:
-        return None
-
-
-def _size_partitions(rows: int | None, cpus: int,
-                     rows_per_partition: int = ROWS_PER_HASH_PARTITION) -> int:
-    """Pure sizing rule: partitions = ceil(rows / rows_per_partition),
-    floored at min(8, cpus) and capped at min(512, 4*cpus); unknown row
-    counts fall back to the floor (the pre-round-3 static behaviour)."""
-    floor = max(2, min(8, cpus))
-    cap = max(floor, min(512, 4 * cpus))
-    if rows is None:
-        return floor
-    by_data = -(-int(rows) // rows_per_partition)
-    return int(max(floor, min(cap, by_data)))
-
-
 def _hash_parts(ds, keys, num_partitions: int | None = None,
                 aggregator_cpu_budget: float = 4.0,
-                approx_rows: int | None = None,
-                rows_per_partition: int = ROWS_PER_HASH_PARTITION):
+                approx_rows: int | None = None):
     """Hash-repartition by key (co-locates each key in ONE block) so the
     multi-key vectorized kernels run once per block via ``map_batches``
     instead of once per group via ``map_groups`` — at ~100k (user, bucket)
     groups the per-group Python dispatch alone costs minutes (measured
     181s single-block vs 1.4s here).
 
-    Partition count is DATA-SCALED: estimated input rows /
-    ``rows_per_partition``, floored at min(8, cpus) and capped at 4x CPUs
-    (512 max) — so the same call that runs 8 partitions at bench scale
-    plans hundreds at 100 TB.  The aggregator pool's total CPU claim is
-    bounded by max(``aggregator_cpu_budget``, 0.02 x partitions):
-    ``_configure_hash_shuffle`` divides the budget across partitions but
-    keeps a 0.02-CPU floor per aggregator, so past budget/0.02 = 200
-    partitions the claim grows with the 0.02 floor — still <= 0.02 x
-    (4 x cpus) = 8% of the cluster at the partition cap, so growing data
+    Partition count is DATA-SCALED (``sizing.exchange_partitions``:
+    estimated input rows / 2M, floored at min(8, cpus) and capped at 4x
+    CPUs) — so the same call that runs 8 partitions at bench scale plans
+    hundreds at 100 TB. ``sizing.configure_hash_shuffle``
+    pins the aggregator pool's total CPU claim to
+    max(``aggregator_cpu_budget``, 0.02 x partitions), so growing data
     never starves neighbouring actor pools."""
-    import ray
-
-    from .stages.reassemble import _configure_hash_shuffle
-
     if num_partitions is None:
-        cpus = (
-            int(ray.cluster_resources().get("CPU", 8))
-            if ray.is_initialized()
-            else 8
-        )
-        rows = approx_rows if approx_rows is not None else _approx_source_rows(ds)
-        num_partitions = _size_partitions(rows, cpus, rows_per_partition)
+        rows = approx_rows if approx_rows is not None else sizing.approx_rows(ds)
+        num_partitions = sizing.exchange_partitions(rows)
         SIZING_LOG.append(
             {"keys": list(keys), "est_rows": rows, "num_partitions": num_partitions}
         )
         if len(SIZING_LOG) > 4096:  # bounded: diagnostics, not a ledger
             del SIZING_LOG[:2048]
-    _configure_hash_shuffle(ds, num_partitions, aggregator_cpu_budget)
+    sizing.configure_hash_shuffle(ds, num_partitions, aggregator_cpu_budget)
     return ds.repartition(num_blocks=num_partitions, keys=keys)
 
 

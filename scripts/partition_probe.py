@@ -1,8 +1,8 @@
 """Document that auto-sized hash exchanges scale partition count with data.
 
 Two parts:
-1. The pure sizing rule (`windows._size_partitions`) evaluated over a row
-   ladder at 32 CPUs — the partition-count table for BASELINE.md.
+1. The pure sizing rule (`sizing.hash_partitions` with the keyed-exchange
+   floor min(8, cpus)) evaluated over a row ladder at 32 CPUs — the partition-count table for BASELINE.md.
 2. A live probe: run exchange-heavy queries at a real sf dir, dump every
    auto-sized exchange from `windows.SIZING_LOG` (estimated rows -> chosen
    partitions), proving the row estimate reaches the sizer on real plans.
@@ -19,14 +19,15 @@ def main() -> None:
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
 
     from my_ocr_ray import windows
+    from my_ocr_ray.sizing import hash_partitions
 
     print("# sizing rule @ 32 CPUs (floor 8, cap 128, 2M rows/partition)")
     for rows in [100_000, 1_600_000, 16_000_000, 200_000_000,
                  2_000_000_000, 1_000_000_000_000]:
-        print(f"rows={rows:>16,} -> partitions={windows._size_partitions(rows, 32)}")
+        print(f"rows={rows:>16,} -> partitions={hash_partitions(rows, 32, 8)}")
     print("# same rule @ 8192 CPUs (256-node cluster): cap 512")
     for rows in [200_000_000, 2_000_000_000, 1_000_000_000_000]:
-        print(f"rows={rows:>16,} -> partitions={windows._size_partitions(rows, 8192)}")
+        print(f"rows={rows:>16,} -> partitions={hash_partitions(rows, 8192, 8)}")
 
     import ray
 

@@ -44,7 +44,7 @@ def test_two_phase_salted(ray_session, corpus):
 
 
 def test_media_shuffle_join(ray_session, corpus):
-    _run(ray_session, corpus, media_ds=True, join_num_partitions=4)
+    _run(ray_session, corpus, media_ds=True)
 
 
 def test_corpus_exercises_all_span_kinds(corpus):

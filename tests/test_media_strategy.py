@@ -92,7 +92,6 @@ def test_media_path_auto_selects_and_stays_golden(
     out_big = extract(
         ray.data.from_arrow(docs).repartition(4),
         media_path=str(p),
-        join_num_partitions=4,
     ).take_all()
     assert chosen[-1] == "join"
     assert _got_map(out_big) == _expected_map(expected)
@@ -113,10 +112,11 @@ def test_media_path_exclusive_with_explicit_strategy(corpus, tmp_path):
         )
 
 
-def test_auto_salt_decision(ray_session, corpus):
+def test_auto_salt_decision(ray_session, corpus, monkeypatch):
     import pyarrow as pa
     import ray.data
 
+    import my_ocr_ray.pipelines.extract as ex
     from my_ocr_ray.schema import DOCUMENTS_SCHEMA
 
     docs, _, _ = corpus
@@ -129,7 +129,8 @@ def test_auto_salt_decision(ray_session, corpus):
     hot = pa.Table.from_pydict(
         {"doc_id": ["doc-hot"], "spans": [spans]}, schema=DOCUMENTS_SCHEMA
     )
-    n_salt = _auto_salt(ray.data.from_arrow(hot), row_budget=100)
+    monkeypatch.setattr(ex, "SALT_ROW_BUDGET", 100)
+    n_salt = _auto_salt(ray.data.from_arrow(hot))
     # 500 spans * safety 4 / budget 100 = 20 salt buckets
     assert n_salt == 20
 
@@ -166,13 +167,13 @@ def test_pathological_doc_takes_salted_path_automatically(
         return orig(*a, **kw)
 
     monkeypatch.setattr(ex, "reassemble_two_phase", spy)
+    monkeypatch.setattr(ex, "SALT_ROW_BUDGET", 200)
     lookup = ray_session.put(
         dict(zip(media["media_ref"].to_pylist(), media["bytes"].to_pylist()))
     )
     out = extract(
         ray.data.from_arrow(docs_all).repartition(4),
         media_lookup_ref=lookup,
-        salt_row_budget=200,
     ).take_all()
     assert taken.get("salted"), "auto trigger did not choose the salted path"
     got = _got_map(out)

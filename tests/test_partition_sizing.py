@@ -6,24 +6,35 @@ cpu-derived default) while keeping the fixed aggregator CPU budget.
 import pyarrow as pa
 import pytest
 
-from my_ocr_ray import windows
+from my_ocr_ray import sizing, windows
 
 
-def test_size_partitions_floor_growth_cap():
+@pytest.fixture
+def _keyed(monkeypatch):
+    """The keyed-exchange rule (``sizing.exchange_partitions``) at ``cpus``."""
+
+    def at(rows, cpus):
+        monkeypatch.setattr(sizing, "cluster_cpus", lambda: cpus)
+        return sizing.exchange_partitions(rows)
+
+    return at
+
+
+def test_size_partitions_floor_growth_cap(_keyed):
     # bench scale: floor
-    assert windows._size_partitions(100_000, 32) == 8
-    assert windows._size_partitions(1_600_000, 32) == 8
+    assert _keyed(100_000, 32) == 8
+    assert _keyed(1_600_000, 32) == 8
     # growth region: ceil(rows / 2M)
-    assert windows._size_partitions(200_000_000, 32) == 100
-    assert windows._size_partitions(250_000_000, 32) == 125
+    assert _keyed(200_000_000, 32) == 100
+    assert _keyed(250_000_000, 32) == 125
     # cap: 4x cpus, 512 max
-    assert windows._size_partitions(2_000_000_000, 32) == 128
-    assert windows._size_partitions(2_000_000_000, 8192) == 512
+    assert _keyed(2_000_000_000, 32) == 128
+    assert _keyed(2_000_000_000, 8192) == 512
     # unknown rows -> static floor (pre-round-3 behaviour)
-    assert windows._size_partitions(None, 32) == 8
-    assert windows._size_partitions(None, 4) == 4
+    assert _keyed(None, 32) == 8
+    assert _keyed(None, 4) == 4
     # tiny cluster floor
-    assert windows._size_partitions(100, 2) == 2
+    assert _keyed(100, 2) == 2
 
 
 def test_approx_source_rows_survives_map(tmp_path, ray_session):
@@ -35,11 +46,11 @@ def test_approx_source_rows_survives_map(tmp_path, ray_session):
     path = tmp_path / "t.parquet"
     pq.write_table(t, str(path))
     ds = ray.data.read_parquet(str(path))
-    assert windows._approx_source_rows(ds) == 1000
+    assert sizing.approx_rows(ds) == 1000
     # derived dataset loses its own count but keeps Read ancestry
     mapped = ds.map_batches(lambda b: b, batch_format="pyarrow")
     assert mapped._meta_count() is None
-    assert windows._approx_source_rows(mapped) == 1000
+    assert sizing.approx_rows(mapped) == 1000
 
 
 def test_hash_parts_logs_and_scales(tmp_path, ray_session):
@@ -52,8 +63,7 @@ def test_hash_parts_logs_and_scales(tmp_path, ray_session):
     pq.write_table(t, str(path))
     ds = ray.data.read_parquet(str(path))
     windows.SIZING_LOG.clear()
-    out = windows._hash_parts(ds, ["k"], approx_rows=10_000_000,
-                              rows_per_partition=2_000_000)
+    out = windows._hash_parts(ds, ["k"], approx_rows=10_000_000)
     entry = windows.SIZING_LOG[-1]
     assert entry["est_rows"] == 10_000_000
     # ceil(10M/2M)=5 but floor is min(8, cpus)=4 on the 4-cpu test cluster

@@ -35,7 +35,7 @@ def test_partial_run_then_resume(corpus_dirs, ray_session, tmp_path):
     docs_dir, media_path, expected = corpus_dirs
     out_dir = str(tmp_path / "out")
 
-    kw = dict(num_partitions=4, ocr_concurrency=2)
+    kw = dict(num_partitions=4)
     # simulate a kill after 2 partitions
     s1 = run_extract_partitioned(
         docs_dir, media_path, out_dir, max_partitions=2, **kw
@@ -63,13 +63,18 @@ def test_partial_run_then_resume(corpus_dirs, ray_session, tmp_path):
 def test_manifest_lineage_contents(corpus_dirs, ray_session, tmp_path):
     docs_dir, media_path, _ = corpus_dirs
     out_dir = str(tmp_path / "out2")
-    run_extract_partitioned(
-        docs_dir, media_path, out_dir, num_partitions=2, ocr_concurrency=2
-    )
+    run_extract_partitioned(docs_dir, media_path, out_dir, num_partitions=2)
     m = read_manifest(out_dir, 0)
     assert m["rows_in"] > 0 and m["rows_out"] == m["rows_in"]
     assert m["metrics"]["docs"] == m["rows_out"]
     assert m["metrics"]["spans"] >= m["metrics"]["media_spans"] >= 0
+    # every span kind is counted: the per-kind counts add up to the total
+    kinds = ("text", "html", "pdf", "media")
+    per_part = [read_manifest(out_dir, pid)["metrics"] for pid in (0, 1)]
+    for mm in per_part:
+        assert sum(mm[f"{k}_spans"] for k in kinds) == mm["spans"]
+    assert sum(mm["pdf_spans"] for mm in per_part) > 0
+    assert sum(mm["html_spans"] for mm in per_part) > 0
     assert all(os.path.exists(f) for f in m["input_files"])
     assert m["wall_sec"] > 0
 
@@ -85,7 +90,7 @@ def test_dirty_kill_orphans_are_cleared(corpus_dirs, ray_session, tmp_path):
 
     docs_dir, media_path, expected = corpus_dirs
     out_dir = str(tmp_path / "out3")
-    kw = dict(num_partitions=4, ocr_concurrency=2)
+    kw = dict(num_partitions=4)
     run_extract_partitioned(docs_dir, media_path, out_dir, max_partitions=2, **kw)
 
     # simulate the dirty kill: partition 2 incomplete (no manifest) but its
@@ -120,13 +125,65 @@ def test_resume_with_different_partition_count_rejected(
     docs_dir, media_path, _ = corpus_dirs
     out_dir = str(tmp_path / "out4")
     run_extract_partitioned(
-        docs_dir, media_path, out_dir, num_partitions=4,
-        ocr_concurrency=2, max_partitions=1,
+        docs_dir, media_path, out_dir, num_partitions=4, max_partitions=1,
     )
     with pytest.raises(ValueError, match="num_partitions"):
-        run_extract_partitioned(
-            docs_dir, media_path, out_dir, num_partitions=2, ocr_concurrency=2
-        )
+        run_extract_partitioned(docs_dir, media_path, out_dir, num_partitions=2)
+
+
+def test_runner_takes_salted_path_for_hot_document(
+    corpus_dirs, ray_session, tmp_path, monkeypatch
+):
+    """The runner uses extract()'s defaults: with no flag from the caller,
+    a partition holding a document above the salt row budget goes through
+    the salted two-phase reassembly, and the output still equals the
+    goldens."""
+    import shutil
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    import my_ocr_ray.pipelines.extract as ex
+    from my_ocr_ray.schema import DOCUMENTS_SCHEMA
+
+    docs_dir, media_path, expected = corpus_dirs
+    hot_dir = tmp_path / "documents"
+    shutil.copytree(docs_dir, hot_dir)
+    # budget = the corpus' own max spans x the tail safety factor: every
+    # ordinary document stays under it, the hot one (twice the max) not
+    max_spans = max(len(v) for v in pq.read_table(docs_dir)["spans"].to_pylist())
+    hot_spans = [
+        {"kind": "text", "text": f"word{k} tail keep", "media_ref": "", "offset": k}
+        for k in range(2 * max_spans)
+    ]
+    pq.write_table(
+        pa.Table.from_pydict(
+            {"doc_id": ["doc-hot"], "spans": [hot_spans]}, schema=DOCUMENTS_SCHEMA
+        ),
+        hot_dir / "docs-hot.parquet",
+    )
+
+    salted = []
+    orig = ex.reassemble_two_phase
+
+    def spy(*a, **kw):
+        salted.append(kw["n_salt"])
+        return orig(*a, **kw)
+
+    monkeypatch.setattr(ex, "reassemble_two_phase", spy)
+    monkeypatch.setattr(ex, "SALT_ROW_BUDGET", max_spans * ex.SALT_TAIL_SAFETY)
+    out_dir = str(tmp_path / "out_hot")
+    run_extract_partitioned(str(hot_dir), media_path, out_dir, num_partitions=2)
+    # only the partition holding the hot document is salted
+    assert salted == [8]
+
+    got = {
+        r["doc_id"]: [dict(s) for s in r["spans"]]
+        for r in read_output(out_dir).take_all()
+    }
+    exp = {r["doc_id"]: r["spans"] for r in expected.to_pylist()}
+    exp["doc-hot"] = hot_spans
+    assert got == exp
 
 
 def test_sigkill_resume_flagship_bench_scale(ray_session, tmp_path):
@@ -185,7 +242,7 @@ def test_sigkill_resume_flagship_bench_scale(ray_session, tmp_path):
     # resume in the test session: only the incomplete partitions run
     s = run_extract_partitioned(
         f"{corpus}/documents", f"{corpus}/media", out_dir,
-        num_partitions=n_parts,  # ocr_concurrency auto-sizes to the session
+        num_partitions=n_parts,  # extract() defaults: auto pool and salt
     )
     assert s["completed"] == n_parts
     assert s["processed_now"] == n_parts - len(done_at_kill)

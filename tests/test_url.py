@@ -154,6 +154,15 @@ class TestHostDomain:
         assert public_suffix("x.anything.kobe.jp") == "anything.kobe.jp"
         assert public_suffix("example.zz") == "zz"
 
+    def test_case_and_trailing_dot_normalized(self):
+        from my_ocr_ray.functions.url import public_suffix
+
+        assert registered_domain("Example.CO.UK") == registered_domain("example.co.uk")
+        assert registered_domain("example.co.uk") == "example.co.uk"
+        assert registered_domain("example.com.") == registered_domain("example.com")
+        assert registered_domain("WWW.Example.com.") == "example.com"
+        assert public_suffix("Shop.Example.CO.UK.") == "co.uk"
+
 
 class TestBatch:
     def test_batch_appends_columns_and_handles_null(self):
