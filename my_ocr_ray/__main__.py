@@ -36,8 +36,6 @@ def main(argv=None) -> int:
     p.add_argument("--docs", required=True, help="documents parquet dir/file")
     p.add_argument("--media", required=True, help="media parquet dir/file")
     p.add_argument("--out", required=True)
-    p.add_argument("--two-phase-salt", type=int, default=None,
-                   help="salt buckets; absent = extract()'s auto decision")
 
     p = sub.add_parser("run", help="partitioned resumable extraction")
     p.add_argument("--docs", required=True)
@@ -71,7 +69,7 @@ def main(argv=None) -> int:
 
             import ray.data
 
-            from .pipelines.extract import extract, load_media_lookup
+            from .pipelines.extract import extract
 
             docs = args.docs
             files = (
@@ -79,13 +77,7 @@ def main(argv=None) -> int:
                 if os.path.isdir(docs)
                 else [docs]
             )
-            lookup = load_media_lookup(args.media)
-            salt = args.two_phase_salt
-            result = extract(
-                ray.data.read_parquet(files),
-                media_lookup_ref=lookup,
-                **({} if salt is None else {"two_phase_salt": salt}),
-            )
+            result = extract(ray.data.read_parquet(files), media_path=args.media)
             result.write_parquet(args.out)
             print(json.dumps({"status": "ok", "out": args.out}))
         elif args.cmd == "run":

@@ -8,16 +8,14 @@ call runs the whole row-local chain on a batch of documents:
                                                      # OCR -> rebuild
          -> write_parquet / Dataset
 
-The ``doc_id`` exchange runs only when an upstream step scatters a
-document's span rows across blocks: the ``media_ds`` shuffle join (rows are
-redistributed by ``media_ref``) and the salted two-phase path (a hot
-document is split across salt buckets on purpose):
+The ``doc_id`` exchange runs only on the ``media_ds`` shuffle join, which
+redistributes a document's span rows by ``media_ref``:
 
     read -> map_batches(explode_spans)            # 1:N fan-out, zero-copy Arrow
          -> map_batches(strip_boilerplate)        # vectorized text routing
-         -> join(media_ds, on=media_ref)          # join path only
+         -> join(media_ds, on=media_ref)          # the media shuffle join
          -> map_batches(OCRStage, concurrency=N)  # stateful actor pool (media)
-         -> doc_id hash exchange / salted two-phase  # the reassembly shuffle
+         -> doc_id hash exchange                  # the reassembly shuffle
          -> write_parquet / Dataset
 
 Media strategy:
@@ -30,20 +28,16 @@ Media strategy:
 """
 from __future__ import annotations
 
-import logging
 import os
 from typing import Optional
 
-import pyarrow as pa
 import pyarrow.parquet as pq
 
 from ..sizing import actor_pool, approx_rows, cluster_cpus, hash_partitions
 from ..stages.ocrstage import DocOCRStage, OCRStage
-from ..stages.reassemble import reassemble_hash, reassemble_two_phase
+from ..stages.reassemble import reassemble_hash
 from ..stages.route import explode_spans
 from ..stages.textstage import strip_boilerplate
-
-logger = logging.getLogger(__name__)
 
 
 def load_media_lookup(media_path: str):
@@ -52,9 +46,10 @@ def load_media_lookup(media_path: str):
 
     Returns an ObjectRef; every OCR actor resolves it once. Broadcasting the
     ARROW TABLE (not a Python dict) matters: ``ray.get`` of an Arrow table is
-    zero-copy out of plasma, so per-actor startup cost is just building the
-    media_ref -> row-index dict, and the image bytes are shared across all
-    actors on a node instead of deserialized per actor.
+    zero-copy out of plasma, so the image bytes are shared across all actors
+    on a node instead of deserialized per actor. The sorted hash index
+    (``_MediaTableLookup.precompute``) is built once, here, and travels with
+    the table: actors resolve it zero-copy and rebuild nothing.
 
     The read + index build runs in a detached Ray TASK, not on the driver:
     at 1.6M docs (3.9M media rows, 1.8 GB) the build is ~6s of serial work
@@ -93,16 +88,6 @@ EST_SPANS_PER_DOC = 8
 # more than a partition of media bytes at once
 MEDIA_BROADCAST_FRACTION = 0.25
 
-# auto-salt trigger: a single document whose span rows approach a healthy
-# shuffle block (sizing.ROWS_PER_HASH_PARTITION) serializes its rebuild in one
-# aggregator; beyond this per-doc row budget the salted two-phase merge
-# splits the hot doc across n_salt partitions
-SALT_ROW_BUDGET = 250_000
-SALT_SAMPLE_DOCS = 512
-# sampled max understates the true max (a 512-doc sample misses the tail);
-# the trigger applies this multiplier before comparing to the budget
-SALT_TAIL_SAFETY = 4
-
 
 def choose_media_strategy(
     media_bytes: Optional[int],
@@ -122,21 +107,24 @@ def choose_media_strategy(
     )
 
 
+def _parquet_files(paths) -> list:
+    """A parquet file, a directory of ``*.parquet`` or a list -> file list."""
+    import glob as _glob
+
+    if not isinstance(paths, str):
+        return list(paths)
+    if os.path.isdir(paths):
+        return sorted(_glob.glob(os.path.join(paths, "*.parquet")))
+    return [paths]
+
+
 def estimate_parquet_bytes(paths) -> Optional[int]:
     """Uncompressed byte estimate from parquet footers only (sum of
     row-group ``total_byte_size``) — approximates the in-memory Arrow table
     the broadcast path would pin in plasma. Never reads data pages."""
-    import glob as _glob
-
-    if isinstance(paths, str):
-        paths = (
-            sorted(_glob.glob(os.path.join(paths, "*.parquet")))
-            if os.path.isdir(paths)
-            else [paths]
-        )
     try:
         total = 0
-        for p in paths:
+        for p in _parquet_files(paths):
             md = pq.ParquetFile(p).metadata
             total += sum(
                 md.row_group(i).total_byte_size for i in range(md.num_row_groups)
@@ -146,42 +134,34 @@ def estimate_parquet_bytes(paths) -> Optional[int]:
         return None
 
 
-def _sample_max_spans(docs_ds, n: int = SALT_SAMPLE_DOCS) -> Optional[int]:
-    """Max spans-per-doc over the first ``n`` documents (drives the
-    auto-salt trigger, and with it the choice between the exchange-free
-    plan and the salted exchange). Executes only enough read tasks to fill
-    the limit; the blocks pulled to the driver are n docs, not the corpus.
+def resolve_media(media_path) -> dict:
+    """``{"media_lookup_ref": ...}`` or ``{"media_ds": ...}`` for a media
+    parquet file / dir / list: :func:`choose_media_strategy` picks from the
+    table's footer-estimated bytes vs the object store size. The broadcast
+    lookup is loaded here, once per call; the join Dataset stays lazy."""
+    import ray
 
-    None (with a warning) when the sample has no readable ``spans`` list
-    column; any other failure propagates."""
-    import pyarrow.compute as pc
+    store = (
+        ray.cluster_resources().get("object_store_memory")
+        if ray.is_initialized()
+        else None
+    )
+    if choose_media_strategy(estimate_parquet_bytes(media_path), store) == "broadcast":
+        return {"media_lookup_ref": load_media_lookup(media_path)}
+    import ray.data  # noqa: F401 (registers the ray.data namespace)
 
-    mx = 0
-    for b in docs_ds.limit(n).iter_batches(batch_size=None, batch_format="pyarrow"):
-        if not b.num_rows:
-            continue
-        try:
-            v = pc.max(pc.list_value_length(b["spans"])).as_py()
-        except (pa.ArrowException, KeyError) as e:
-            logger.warning(
-                "spans-per-doc sample failed (%s: %s); auto-salt falls back "
-                "to the unsalted plan", type(e).__name__, e,
-            )
-            return None
-        mx = max(mx, int(v or 0))
-    return mx
+    return {
+        "media_ds": ray.data.read_parquet(
+            _parquet_files(media_path), columns=["media_ref", "bytes"]
+        )
+    }
 
 
-def _auto_salt(docs_ds) -> Optional[int]:
-    """None (unsalted plan: exchange-free with a broadcast lookup, one
-    ``doc_id`` exchange on the join path) or an n_salt for the salted
-    two-phase path, decided from a sampled max-spans-per-doc estimate vs the
-    per-group row budget ``SALT_ROW_BUDGET`` — the pipeline never relies on
-    a caller remembering the flag for pathological documents."""
-    mx = _sample_max_spans(docs_ds)
-    if not mx or mx * SALT_TAIL_SAFETY <= SALT_ROW_BUDGET:
-        return None
-    return int(max(8, min(64, -(-mx * SALT_TAIL_SAFETY // SALT_ROW_BUDGET))))
+def _auto_salt(docs_ds) -> None:
+    """Always None, without touching ``docs_ds``: the extraction plan never
+    salts. Kept only for the benchmark's ``extract.auto_salt_s`` probe, and
+    deleted together with that probe; ``extract()`` never calls it."""
+    return None
 
 
 def extract(
@@ -192,7 +172,6 @@ def extract(
     media_path=None,
     ocr_concurrency: Optional[int] = None,
     ocr_batch_size: int = 256,
-    two_phase_salt: "Optional[int] | str" = "auto",
     on_error: str = "raise",
     ocr_stage_kwargs: Optional[dict] = None,
 ):
@@ -205,19 +184,16 @@ def extract(
 
     Media strategy: pass ``media_lookup_ref`` (broadcast) or ``media_ds``
     (shuffle join) to choose explicitly, or ``media_path`` (parquet file /
-    dir / list) to let :func:`choose_media_strategy` pick from the table's
+    dir / list) to let :func:`resolve_media` pick from the table's
     footer-estimated bytes vs the object store size.
 
-    Plan: with a broadcast lookup and no salting the plan is exchange-free
+    Plan: with a broadcast lookup the plan is exchange-free
     (``read -> DocOCRStage -> write``): each actor call explodes, strips,
     OCRs (in span-row slices of at most ``ocr_batch_size``) and rebuilds a
     batch of ``ocr_batch_size // EST_SPANS_PER_DOC`` documents. Only the
-    ``media_ds`` join and the salted path scatter a document's span rows,
-    so only they pay the ``doc_id`` hash exchange.
-
-    Skew: ``two_phase_salt="auto"`` (default) samples max spans-per-doc and
-    switches to the salted two-phase reassembly only when a hot document
-    would exceed ``SALT_ROW_BUDGET`` rows in one group block.
+    ``media_ds`` join scatters a document's span rows, so only it pays the
+    ``doc_id`` hash exchange. A hot document is one input row like any
+    other and takes the plan its media strategy selects.
 
     Resource auto-sizing (``my_ocr_ray.sizing``): the OCR actor pool, the
     hash-shuffle aggregators and the join aggregators must all fit on the
@@ -232,36 +208,12 @@ def extract(
     (~cpus/8) regardless of partition count by shrinking the per-partition
     claim, so growing data never shrinks the OCR pool.
     """
-    import ray
-
     if media_path is not None:
         if media_lookup_ref is not None or media_ds is not None:
             raise ValueError("pass media_path OR media_lookup_ref/media_ds")
-        store = (
-            ray.cluster_resources().get("object_store_memory")
-            if ray.is_initialized()
-            else None
-        )
-        strategy = choose_media_strategy(
-            estimate_parquet_bytes(media_path), store
-        )
-        if strategy == "broadcast":
-            media_lookup_ref = load_media_lookup(media_path)
-        else:
-            import glob as _glob
-
-            import ray.data  # noqa: F401 (registers the ray.data namespace)
-
-            files = (
-                sorted(_glob.glob(os.path.join(media_path, "*.parquet")))
-                if isinstance(media_path, str) and os.path.isdir(media_path)
-                else media_path
-            )
-            media_ds = ray.data.read_parquet(
-                files, columns=["media_ref", "bytes"]
-            )
-    if two_phase_salt == "auto":
-        two_phase_salt = _auto_salt(docs_ds)
+        media = resolve_media(media_path)
+        media_lookup_ref = media.get("media_lookup_ref")
+        media_ds = media.get("media_ds")
 
     cpus = cluster_cpus()
     aggregator_cpu_budget = max(1.0, cpus / 8)
@@ -269,8 +221,6 @@ def extract(
         # kept identical on the exchange-free path: pool sizing is its own
         # decision (a 2-actor pool on 4 CPUs stalled streaming jobs)
         reserve = 2 + aggregator_cpu_budget
-        if two_phase_salt:
-            reserve += aggregator_cpu_budget  # second hash exchange
         if media_ds is not None:
             reserve += aggregator_cpu_budget
         ocr_concurrency = actor_pool(reserve)
@@ -281,7 +231,7 @@ def extract(
         **(ocr_stage_kwargs or {}),
     }
 
-    if media_ds is None and not two_phase_salt:
+    if media_ds is None:
         # no step scatters a document's span rows: fuse the whole chain
         # into one row-local actor call and skip the doc_id exchange
         return docs_ds.map_batches(
@@ -306,16 +256,14 @@ def extract(
         fn_kwargs={"with_sentinel": True},
     ).map_batches(strip_boilerplate, batch_format="pyarrow", zero_copy_batch=True)
 
-    if media_ds is not None:
-        # scale path: shuffle join span rows <- media bytes on media_ref.
-        # Text spans carry media_ref="" and must not be dropped: left join.
-        spans = spans.join(
-            media_ds.select_columns(["media_ref", "bytes"]),
-            join_type="left_outer",
-            num_partitions=shuffle_partitions,
-            on=("media_ref",),
-        )
-
+    # scale path: shuffle join span rows <- media bytes on media_ref.
+    # Text spans carry media_ref="" and must not be dropped: left join.
+    spans = spans.join(
+        media_ds.select_columns(["media_ref", "bytes"]),
+        join_type="left_outer",
+        num_partitions=shuffle_partitions,
+        on=("media_ref",),
+    )
     processed = spans.map_batches(
         OCRStage,
         fn_constructor_kwargs=stage_kwargs,
@@ -324,13 +272,6 @@ def extract(
         concurrency=ocr_concurrency,
     )
 
-    if two_phase_salt:
-        return reassemble_two_phase(
-            processed,
-            n_salt=two_phase_salt,
-            num_partitions=shuffle_partitions,
-            aggregator_cpu_budget=aggregator_cpu_budget,
-        )
     return reassemble_hash(
         processed,
         num_partitions=shuffle_partitions,

@@ -24,7 +24,7 @@ from ..state.manifest import (
     part_dir,
     write_manifest,
 )
-from .extract import extract, load_media_lookup
+from .extract import extract, resolve_media
 
 
 def _partition_files(input_dir: str, num_partitions: int) -> list[list[str]]:
@@ -108,7 +108,10 @@ def run_extract_partitioned(
     """Run all incomplete partitions; returns a summary dict.
 
     Each partition runs ``extract()`` with its defaults (auto-sized OCR
-    pool, ``two_phase_salt="auto"``) against the broadcast media lookup.
+    pool) and the media strategy ``extract(media_path=...)`` would choose:
+    :func:`resolve_media` runs once, before the partition loop, so a
+    broadcast lookup is loaded once per run and an oversized media table
+    takes the shuffle join on every partition.
 
     ``max_partitions`` bounds how many partitions this invocation processes
     (used by the resume test to simulate a mid-job kill).
@@ -119,7 +122,7 @@ def run_extract_partitioned(
 
     groups = _partition_files(docs_dir, num_partitions)
     _check_run_config(out_dir, len(groups))
-    lookup = load_media_lookup(media_path)
+    media = resolve_media(media_path)
     done_before = set(completed_partitions(out_dir))
     processed = 0
     t_start = time.time()
@@ -138,7 +141,7 @@ def run_extract_partitioned(
             shutil.rmtree(pdir)
         ds = ray.data.read_parquet(files)
         rows_in = ds.count()
-        result = extract(ds, media_lookup_ref=lookup)
+        result = extract(ds, **media)
         os.makedirs(pdir, exist_ok=True)
         result.write_parquet(pdir)
         out_files = sorted(glob.glob(os.path.join(pdir, "*.parquet")))

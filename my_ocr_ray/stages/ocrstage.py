@@ -89,10 +89,11 @@ class _MediaTableLookup:
 
     @classmethod
     def precompute(cls, tbl: pa.Table) -> dict:
-        """Driver-side index build: returns the broadcast payload. The numpy
-        arrays resolve zero-copy from plasma, so actor init is O(1) instead
-        of an O(n log n) per-actor rebuild (at 2.8M refs the per-actor
-        rebuild dominated pool ramp-up)."""
+        """One-time index build (in ``load_media_lookup``'s task): returns
+        the broadcast payload. The numpy arrays resolve zero-copy from
+        plasma, so actor init is O(1) instead of an O(n log n) per-actor
+        rebuild (at 2.8M refs the per-actor rebuild dominated pool
+        ramp-up)."""
         import pyarrow.compute as _pc
 
         refs_col = tbl["media_ref"]
@@ -184,10 +185,11 @@ class OCRStage:
         if media_lookup_ref is not None:
             import ray
 
-            # One ray.get per actor. An Arrow table resolves zero-copy from
-            # plasma (bytes shared across actors on the node); only the
-            # ref -> row-index dict is built per actor. Plain dicts are also
-            # accepted for tests/small corpora.
+            # One ray.get per actor. The precomputed payload (Arrow table +
+            # sorted hash index, built once by ``load_media_lookup``'s task)
+            # resolves zero-copy from plasma, so nothing is rebuilt per
+            # actor. Bare Arrow tables and plain dicts are also accepted for
+            # tests/small corpora.
             obj = ray.get(media_lookup_ref)
             if isinstance(obj, dict) and "sorted_refs" in obj:
                 self.media = _MediaTableLookup(

@@ -5,19 +5,12 @@ sorted by ``offset``. The reference never shuffles (one image per process,
 list order implicit, ``ocr.py:193-199``), and neither does the default
 extraction plan: each input row is a whole document, so
 ``ocrstage.DocOCRStage`` calls :func:`_build_doc_rows` on the span rows it
-produced itself. The exchange is needed only where an upstream step
-scatters a document's span rows across blocks — the ``media_ref`` shuffle
-join and the salted two-phase path. Order is restored explicitly from the
-carried ``offset`` column so it survives any partitioning.
-
-Two exchange strategies:
-- ``reassemble_hash``       — one ``doc_id`` hash repartition, then a
-  vectorized per-block rebuild (the media-join path).
-- ``reassemble_two_phase``  — salted two-phase merge for skewed documents:
-  partial per-(doc_id, salt) sorted sublists, then a final merge of the (at
-  most ``n_salt``) sublists per doc. Bounds the largest group block at
-  ``max_spans/n_salt`` rows and pre-shrinks the final shuffle to
-  ``n_salt`` rows per doc.
+produced itself. The one exchange, :func:`reassemble_hash` (a ``doc_id``
+hash repartition, then a vectorized per-block rebuild), runs only after
+the ``media_ref`` shuffle join, which scatters a document's span rows
+across blocks. Order is restored explicitly from the carried ``offset``
+column so it survives any partitioning; a hot document's rows land in one
+block and are rebuilt there like any other document's.
 
 Exact dedup on ``(doc_id, offset)`` (keep-first) happens inside the group
 build — the idempotence guard for resumed/retried partitions.
@@ -95,51 +88,3 @@ def reassemble_hash(span_rows, num_partitions: int, aggregator_cpu_budget: float
         zero_copy_batch=True,
     )
 
-
-def _partial_key(batch: pa.Table, n_salt: int) -> pa.Table:
-    off = batch["offset"].combine_chunks().to_numpy(zero_copy_only=False)
-    salt = (off.astype(np.int64) % n_salt).astype(np.int32)
-    return batch.append_column("salt", pa.array(salt))
-
-
-def _partial_build(group: pa.Table) -> pa.Table:
-    """(doc_id, salt) group -> one row with the sorted partial span list."""
-    tbl = _build_doc_rows(group.drop_columns(["salt"]))
-    return tbl
-
-
-def _merge_partials(group: pa.Table) -> pa.Table:
-    """Merge the <= n_salt sorted partial lists of one doc (re-sort; lists are
-    small: n_salt rows of metadata, spans merged by offset)."""
-    from .route import explode_spans
-
-    return _build_doc_rows(explode_spans(group, with_sentinel=True))
-
-
-def reassemble_two_phase(
-    span_rows, n_salt: int, num_partitions: int, aggregator_cpu_budget: float
-):
-    """Salted two-phase reassembly for skewed multi-span documents.
-
-    Both exchanges are hash repartitions (like :func:`reassemble_hash`):
-    phase 1 hash-partitions on (doc_id, salt) — a hot doc's rows split
-    across up to ``n_salt`` partitions, each building sorted partial span
-    lists; phase 2 hash-partitions the (at most ``n_salt``) partial rows
-    per doc on doc_id and merges.
-    """
-    salted = span_rows.map_batches(
-        _partial_key, batch_format="pyarrow", fn_kwargs={"n_salt": n_salt}
-    )
-    configure_hash_shuffle(salted, num_partitions, aggregator_cpu_budget)
-    partial = salted.repartition(
-        num_blocks=num_partitions, keys=["doc_id", "salt"]
-    ).map_batches(
-        _partial_build, batch_format="pyarrow", batch_size=None,
-        zero_copy_batch=True,
-    )
-    return partial.repartition(
-        num_blocks=num_partitions, keys=["doc_id"]
-    ).map_batches(
-        _merge_partials, batch_format="pyarrow", batch_size=None,
-        zero_copy_batch=True,
-    )

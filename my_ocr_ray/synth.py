@@ -14,8 +14,9 @@ nav-short — designed to robustly trigger ``is_boilerplate_span``), raw-HTML
 spans (a full boilerplate-wrapped page via :func:`wrap_html_doc` whose main
 content the flagship must recover with the CETD extractor), and media spans
 whose referenced image renders DICT36 text with exactly known ground truth.
-Span counts are skew-distributed (median ~5, heavy tail) to exercise the
-salted reassembly shuffle.
+Span counts are skew-distributed (median ~5, heavy tail) to exercise
+documents far longer than an OCR slice and the ``doc_id`` reassembly of the
+media-join path.
 """
 from __future__ import annotations
 

@@ -1,13 +1,11 @@
-"""Exchange-free extraction plan: with a broadcast media lookup and no
-salting, ``extract()`` runs ``read -> DocOCRStage -> write`` with no
-``doc_id`` exchange; the join and salted paths keep theirs. Every path must
-produce the same documents."""
-import logging
-
+"""Exchange-free extraction plan: with a broadcast media lookup
+``extract()`` runs ``read -> DocOCRStage -> write`` with no ``doc_id``
+exchange, hot documents included; the join path keeps its exchange. Every
+path must produce the same documents."""
 import pyarrow as pa
 import pytest
 
-from my_ocr_ray.pipelines.extract import _sample_max_spans, extract
+from my_ocr_ray.pipelines.extract import extract
 from my_ocr_ray.schema import DOCUMENTS_SCHEMA
 from my_ocr_ray.stages.ocrstage import DocOCRStage, OCRStage
 from my_ocr_ray.synth import corpus_tables
@@ -43,21 +41,37 @@ def _plan_kwargs(ray_session, corpus, path):
         import ray.data
 
         return {"media_ds": ray.data.from_arrow(media)}
-    kw = {"media_lookup_ref": _lookup(ray_session, media)}
-    if path == "salted":
-        kw["two_phase_salt"] = 8
-    return kw
+    return {"media_lookup_ref": _lookup(ray_session, media)}
+
+
+def _with_hot_doc(docs, expected, n_spans=3000):
+    """The corpus plus one text document of ``n_spans`` spans."""
+    spans = [
+        {"kind": "text", "text": f"content span number {i} with enough words here",
+         "media_ref": "", "offset": i}
+        for i in range(n_spans)
+    ]
+    hot = pa.Table.from_pydict(
+        {"doc_id": ["doc-hot"], "spans": [spans]}, schema=DOCUMENTS_SCHEMA
+    )
+    docs = pa.concat_tables([docs.select(["doc_id", "spans"]), hot]).combine_chunks()
+    return docs, {**_expected_map(expected), "doc-hot": spans}
 
 
 @pytest.mark.parametrize("path,shuffles", [
     ("broadcast", 0),
     ("join", 1),
-    ("salted", 2),
+    ("hot", 0),
 ])
 def test_plan_shape(ray_session, corpus, path, shuffles):
+    """``hot`` is the broadcast path with a 3,000-span document added: it
+    takes the same exchange-free plan as every other document."""
     import ray.data
 
     docs, _, expected = corpus
+    exp = _expected_map(expected)
+    if path == "hot":
+        docs, exp = _with_hot_doc(docs, expected)
     ds = extract(
         ray.data.from_arrow(docs).repartition(4),
         **_plan_kwargs(ray_session, corpus, path),
@@ -65,11 +79,11 @@ def test_plan_shape(ray_session, corpus, path, shuffles):
     ops = _operators(ds)
     assert sum("Shuffle(" in op for op in ops) == shuffles, ops
     assert any("OCRStage" in op for op in ops), ops
-    if path == "broadcast":
+    if path != "join":
         assert any("DocOCRStage" in op for op in ops), ops
-    if path == "join":
+    else:
         assert any("Join(" in op for op in ops), ops
-    assert _got_map(ds.take_all()) == _expected_map(expected)
+    assert _got_map(ds.take_all()) == exp
 
 
 @pytest.mark.parametrize("path", ["broadcast", "join"])
@@ -163,16 +177,3 @@ def test_empty_input_block(ray_session, corpus):
     out = extract(mixed, media_lookup_ref=lookup).take_all()
     assert _got_map(out) == _expected_map(expected)
 
-
-@pytest.mark.parametrize("table", [
-    pa.table({"doc_id": ["a", "b"]}),             # no spans column
-    pa.table({"doc_id": ["a"], "spans": [3]}),    # spans is not a list
-])
-def test_sample_max_spans_warns_on_fallback(ray_session, caplog, table):
-    import ray.data
-
-    with caplog.at_level(logging.WARNING, logger="my_ocr_ray.pipelines.extract"):
-        assert _sample_max_spans(ray.data.from_arrow(table)) is None
-    assert any(
-        "spans-per-doc sample failed" in r.getMessage() for r in caplog.records
-    )

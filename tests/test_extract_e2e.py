@@ -1,6 +1,6 @@
 """End-to-end golden check: per-row span-sequence equality (kind, text,
 media_ref, order) over the deterministic synthetic corpus — the correctness
-contract from BASELINE.json, across all three pipeline configurations."""
+contract from BASELINE.json, across both media strategies."""
 import pytest
 
 from my_ocr_ray.pipelines.extract import extract
@@ -37,10 +37,6 @@ def _run(ray_session, corpus, **kwargs):
 
 def test_one_phase(ray_session, corpus):
     _run(ray_session, corpus)
-
-
-def test_two_phase_salted(ray_session, corpus):
-    _run(ray_session, corpus, two_phase_salt=4)
 
 
 def test_media_shuffle_join(ray_session, corpus):

@@ -1,6 +1,5 @@
-"""Auto-selection seams added for the 100-TB story: the broadcast-vs-join
-media strategy switch (``extract(media_path=...)``) and the sampled
-auto-salt trigger (``two_phase_salt="auto"``) — both must pick the right
+"""Auto-selection seam added for the 100-TB story: the broadcast-vs-join
+media strategy switch (``extract(media_path=...)``) must pick the right
 path from the DATA, and both paths must stay golden-equal."""
 import os
 
@@ -11,7 +10,6 @@ from my_ocr_ray.pipelines.extract import (
     choose_media_strategy,
     estimate_parquet_bytes,
     extract,
-    _auto_salt,
 )
 from my_ocr_ray.synth import corpus_tables
 
@@ -112,35 +110,12 @@ def test_media_path_exclusive_with_explicit_strategy(corpus, tmp_path):
         )
 
 
-def test_auto_salt_decision(ray_session, corpus, monkeypatch):
-    import pyarrow as pa
-    import ray.data
-
-    import my_ocr_ray.pipelines.extract as ex
-    from my_ocr_ray.schema import DOCUMENTS_SCHEMA
-
-    docs, _, _ = corpus
-    # bounded span counts: stays on the single-phase path
-    assert _auto_salt(ray.data.from_arrow(docs)) is None
-    spans = [
-        {"kind": "text", "text": f"w{k}", "media_ref": "", "offset": k}
-        for k in range(500)
-    ]
-    hot = pa.Table.from_pydict(
-        {"doc_id": ["doc-hot"], "spans": [spans]}, schema=DOCUMENTS_SCHEMA
-    )
-    monkeypatch.setattr(ex, "SALT_ROW_BUDGET", 100)
-    n_salt = _auto_salt(ray.data.from_arrow(hot))
-    # 500 spans * safety 4 / budget 100 = 20 salt buckets
-    assert n_salt == 20
-
-
-def test_pathological_doc_takes_salted_path_automatically(
+def test_pathological_doc_rebuilt_without_exchange(
     ray_session, corpus, monkeypatch
 ):
-    """A hot document above the row budget must route through the salted
-    two-phase reassembly WITHOUT the caller passing a flag, and the output
-    must equal the single-phase result."""
+    """A hot document is one input row like any other: on the broadcast
+    path it is rebuilt inside the OCR actor, so the ``doc_id`` exchange
+    (``reassemble_hash``) never runs, and the output equals the goldens."""
     import pyarrow as pa
     import ray.data
 
@@ -159,15 +134,14 @@ def test_pathological_doc_takes_salted_path_automatically(
         [docs.select(["doc_id", "spans"]), hot]
     ).combine_chunks()
 
-    taken = {}
-    orig = ex.reassemble_two_phase
+    exchanges = []
+    orig = ex.reassemble_hash
 
     def spy(*a, **kw):
-        taken["salted"] = True
+        exchanges.append(True)
         return orig(*a, **kw)
 
-    monkeypatch.setattr(ex, "reassemble_two_phase", spy)
-    monkeypatch.setattr(ex, "SALT_ROW_BUDGET", 200)
+    monkeypatch.setattr(ex, "reassemble_hash", spy)
     lookup = ray_session.put(
         dict(zip(media["media_ref"].to_pylist(), media["bytes"].to_pylist()))
     )
@@ -175,7 +149,7 @@ def test_pathological_doc_takes_salted_path_automatically(
         ray.data.from_arrow(docs_all).repartition(4),
         media_lookup_ref=lookup,
     ).take_all()
-    assert taken.get("salted"), "auto trigger did not choose the salted path"
+    assert not exchanges, "the broadcast plan ran the doc_id exchange"
     got = _got_map(out)
     exp = _expected_map(expected)
     assert {k: v for k, v in got.items() if k != "doc-hot"} == exp

@@ -131,13 +131,31 @@ def test_resume_with_different_partition_count_rejected(
         run_extract_partitioned(docs_dir, media_path, out_dir, num_partitions=2)
 
 
-def test_runner_takes_salted_path_for_hot_document(
+def _goldens(expected, rows):
+    got = {r["doc_id"]: [dict(s) for s in r["spans"]] for r in rows}
+    exp = {r["doc_id"]: r["spans"] for r in expected.to_pylist()}
+    return got, exp
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    orig = getattr(module, name)
+
+    def spy(*a, **kw):
+        calls.append(True)
+        return orig(*a, **kw)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def test_runner_rebuilds_hot_document_without_exchange(
     corpus_dirs, ray_session, tmp_path, monkeypatch
 ):
-    """The runner uses extract()'s defaults: with no flag from the caller,
-    a partition holding a document above the salt row budget goes through
-    the salted two-phase reassembly, and the output still equals the
-    goldens."""
+    """The runner uses extract()'s defaults: a partition holding a document
+    of twice the corpus' max span count takes the same exchange-free
+    broadcast plan as every other partition (``reassemble_hash`` never
+    runs), and the output still equals the goldens."""
     import shutil
 
     import pyarrow as pa
@@ -149,8 +167,6 @@ def test_runner_takes_salted_path_for_hot_document(
     docs_dir, media_path, expected = corpus_dirs
     hot_dir = tmp_path / "documents"
     shutil.copytree(docs_dir, hot_dir)
-    # budget = the corpus' own max spans x the tail safety factor: every
-    # ordinary document stays under it, the hot one (twice the max) not
     max_spans = max(len(v) for v in pq.read_table(docs_dir)["spans"].to_pylist())
     hot_spans = [
         {"kind": "text", "text": f"word{k} tail keep", "media_ref": "", "offset": k}
@@ -163,26 +179,36 @@ def test_runner_takes_salted_path_for_hot_document(
         hot_dir / "docs-hot.parquet",
     )
 
-    salted = []
-    orig = ex.reassemble_two_phase
-
-    def spy(*a, **kw):
-        salted.append(kw["n_salt"])
-        return orig(*a, **kw)
-
-    monkeypatch.setattr(ex, "reassemble_two_phase", spy)
-    monkeypatch.setattr(ex, "SALT_ROW_BUDGET", max_spans * ex.SALT_TAIL_SAFETY)
+    exchanges = _count_calls(monkeypatch, ex, "reassemble_hash")
     out_dir = str(tmp_path / "out_hot")
     run_extract_partitioned(str(hot_dir), media_path, out_dir, num_partitions=2)
-    # only the partition holding the hot document is salted
-    assert salted == [8]
+    assert not exchanges, "the broadcast plan ran the doc_id exchange"
 
-    got = {
-        r["doc_id"]: [dict(s) for s in r["spans"]]
-        for r in read_output(out_dir).take_all()
-    }
-    exp = {r["doc_id"]: r["spans"] for r in expected.to_pylist()}
+    got, exp = _goldens(expected, read_output(out_dir).take_all())
     exp["doc-hot"] = hot_spans
+    assert got == exp
+
+
+def test_runner_joins_oversized_media_table(
+    corpus_dirs, ray_session, tmp_path, monkeypatch
+):
+    """The runner takes extract()'s media strategy: a media table above the
+    broadcast budget is never ``ray.put``; every partition runs the shuffle
+    join (and with it the ``doc_id`` exchange), and the output still equals
+    the goldens."""
+    import my_ocr_ray.pipelines.extract as ex
+
+    docs_dir, media_path, expected = corpus_dirs
+    monkeypatch.setattr(ex, "estimate_parquet_bytes", lambda paths: 10**15)
+    loads = _count_calls(monkeypatch, ex, "load_media_lookup")
+    exchanges = _count_calls(monkeypatch, ex, "reassemble_hash")
+    out_dir = str(tmp_path / "out_join")
+    s = run_extract_partitioned(docs_dir, media_path, out_dir, num_partitions=2)
+    assert s["processed_now"] == 2
+    assert not loads, "an oversized media table was broadcast"
+    assert len(exchanges) == 2, "a partition skipped the join path"
+
+    got, exp = _goldens(expected, read_output(out_dir).take_all())
     assert got == exp
 
 
@@ -242,7 +268,7 @@ def test_sigkill_resume_flagship_bench_scale(ray_session, tmp_path):
     # resume in the test session: only the incomplete partitions run
     s = run_extract_partitioned(
         f"{corpus}/documents", f"{corpus}/media", out_dir,
-        num_partitions=n_parts,  # extract() defaults: auto pool and salt
+        num_partitions=n_parts,  # extract() defaults: auto pool and media strategy
     )
     assert s["completed"] == n_parts
     assert s["processed_now"] == n_parts - len(done_at_kill)

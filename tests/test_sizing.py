@@ -38,11 +38,9 @@ def ref_extract_partitions(n_docs, cpus):  # extract(), inline
     return int(max(floor, min(cap, by_data)))
 
 
-def ref_ocr_pool(cpus, salted, join):  # extract(), inline
+def ref_ocr_pool(cpus, join):  # extract(), inline
     aggregator_cpu_budget = max(1.0, cpus / 8)
     reserve = 2 + aggregator_cpu_budget
-    if salted:
-        reserve += aggregator_cpu_budget
     if join:
         reserve += aggregator_cpu_budget
     return max(1, int(cpus - reserve))
@@ -67,7 +65,9 @@ def ref_decode_pool(cpus, reserve=4, cap=24):  # queries._decode_pool
 
 class _RecordingDataset:
     """Answers the metadata row count and records pool sizes and
-    partition counts; never executes anything."""
+    partition counts; never executes anything (it has no ``limit`` or
+    ``iter_batches``, so a plan that runs a dataset before the main pass
+    fails on it)."""
 
     def __init__(self, rows):
         self.rows = rows
@@ -114,26 +114,25 @@ def test_extract_pool_and_partitions_match_parent(cpus, fake_cpus):
 
     fake_cpus(cpus)
     for rows in ROWS:
-        for salted in (False, True):
-            for join in (False, True):
-                ds = _RecordingDataset(rows)
-                extract(
-                    ds,
-                    media_lookup_ref=None if join else "lookup-ref",
-                    media_ds=_RecordingDataset(None) if join else None,
-                    two_phase_salt=8 if salted else None,
-                )
-                assert ds.values("pool") == {ref_ocr_pool(cpus, salted, join)}
-                parts = ds.values("partitions")
-                if not (salted or join):
-                    assert parts == set()  # exchange-free plan
-                elif rows is None and cpus > 33:
-                    # the one permitted change: unknown input size on a
-                    # >33-CPU cluster plans the floor, not min(16, floor)
-                    assert parts == {max(2, cpus // 2)}
-                    assert ref_extract_partitions(rows, cpus) == 16
-                else:
-                    assert parts == {ref_extract_partitions(rows, cpus)}
+        for join in (False, True):
+            ds = _RecordingDataset(rows)
+            # extract()'s defaults otherwise: planning must stay lazy
+            extract(
+                ds,
+                media_lookup_ref=None if join else "lookup-ref",
+                media_ds=_RecordingDataset(None) if join else None,
+            )
+            assert ds.values("pool") == {ref_ocr_pool(cpus, join)}
+            parts = ds.values("partitions")
+            if not join:
+                assert parts == set()  # exchange-free plan
+            elif rows is None and cpus > 33:
+                # the one permitted change: unknown input size on a
+                # >33-CPU cluster plans the floor, not min(16, floor)
+                assert parts == {max(2, cpus // 2)}
+                assert ref_extract_partitions(rows, cpus) == 16
+            else:
+                assert parts == {ref_extract_partitions(rows, cpus)}
 
 
 @pytest.mark.parametrize("cpus", CPUS)

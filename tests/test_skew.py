@@ -1,6 +1,5 @@
 """Skewed-document stress: one doc with thousands of spans must reassemble
-correctly through every extraction plan — exchange-free, media join and
-salted two-phase (the salting rationale)."""
+correctly through both extraction plans — exchange-free and media join."""
 import pyarrow as pa
 import pytest
 
@@ -38,7 +37,6 @@ def _skewed_corpus(n_small: int = 20, big_spans: int = 3000):
 @pytest.mark.parametrize("kwargs", [
     {},
     {"media_ds": "unused"},
-    {"two_phase_salt": 8},
 ])
 def test_skewed_doc_reassembles_in_order(ray_session, kwargs):
     import ray.data
@@ -50,7 +48,7 @@ def test_skewed_doc_reassembles_in_order(ray_session, kwargs):
         unused = pa.table({"media_ref": ["m-unused"], "bytes": [b""]})
         kwargs = {"media_ds": ray.data.from_arrow(unused)}
     else:
-        kwargs = {"media_lookup_ref": ray_session.put({}), **kwargs}
+        kwargs = {"media_lookup_ref": ray_session.put({})}
     out = extract(
         ray.data.from_arrow(docs).repartition(4),
         **kwargs,
