@@ -45,6 +45,30 @@ def ctc_greedy_decode(
     return out, scores
 
 
+def ctc_greedy_decode_batch(
+    logits: np.ndarray, blank: int, valid_ratios: np.ndarray | None = None
+) -> list[tuple[list[int], list[float]]]:
+    """:func:`ctc_greedy_decode` of every row of a (B, T, C) batch, with one
+    argmax over the whole batch; row ``i`` is trimmed by ``valid_ratios[i]``
+    (all 1.0 when None)."""
+    b, t_total = logits.shape[:2]
+    t = np.full(b, t_total, dtype=np.int64)
+    if valid_ratios is not None:
+        ratios = np.asarray(valid_ratios).astype(np.float64)
+        t = np.minimum(t, np.ceil(t_total * ratios).astype(np.int64))
+    idx = logits.argmax(axis=2)
+    val = np.take_along_axis(logits, idx[:, :, None], axis=2)[:, :, 0]
+    prev = np.concatenate((np.full((b, 1), blank, dtype=idx.dtype), idx[:, :-1]), axis=1)
+    # transition frames: the first frame of each non-blank run, inside the
+    # row's valid range
+    keep = (idx != prev) & (idx != blank) & (np.arange(t_total)[None, :] < t[:, None])
+    rows, cols = np.nonzero(keep)
+    chars = idx[rows, cols].tolist()
+    scores = val[rows, cols].tolist()
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=b)))).tolist()
+    return [(chars[s:e], scores[s:e]) for s, e in zip(bounds[:-1], bounds[1:])]
+
+
 def ctc_collapse_indices(indices: list[int] | np.ndarray, blank: int) -> list[int]:
     """Collapse an index sequence (drop repeats then blanks)."""
     out: list[int] = []

@@ -174,27 +174,23 @@ def png_decode(data: bytes) -> np.ndarray:
             idat += payload
         elif tag == b"IEND":
             break
-    raw = zlib.decompress(idat)
-    stride = w + 1
-    out = np.empty((h, w), dtype=np.uint8)
-    prev = np.zeros(w, dtype=np.uint8)
-    for r in range(h):
-        row = raw[r * stride : (r + 1) * stride]
-        filt, body = row[0], np.frombuffer(row[1:], dtype=np.uint8).copy()
-        if filt == 0:
-            line = body
-        elif filt == 2:  # Up
-            line = body + prev
-        elif filt == 1:  # Sub
-            line = body
-            acc = 0
-            for i in range(w):
-                acc = (int(line[i]) + acc) & 0xFF
-                line[i] = acc
-        else:
-            raise ValueError(f"unsupported PNG filter {filt}")
-        out[r] = line
-        prev = out[r]
+    raw = np.frombuffer(zlib.decompress(idat), dtype=np.uint8)
+    rows = raw[: h * (w + 1)].reshape(h, w + 1)
+    filt, out = rows[:, 0], rows[:, 1:].copy()
+    if not filt.any():  # png_encode's output: filter 0 on every scanline
+        return out
+    bad = np.flatnonzero(filt > 2)
+    if bad.size:
+        raise ValueError(f"unsupported PNG filter {filt[bad[0]]}")
+    # Sub rows decode on their own; uint8 accumulation wraps mod 256
+    sub = filt == 1
+    out[sub] = np.cumsum(out[sub], axis=1, dtype=np.uint8)
+    # each run of Up rows is a column cumsum seeded by the decoded row above
+    up = np.concatenate(([False], filt == 2, [False]))
+    edges = np.flatnonzero(up[1:] != up[:-1])
+    for a, b in zip(edges[::2], edges[1::2]):
+        run = np.cumsum(out[a:b], axis=0, dtype=np.uint8)
+        out[a:b] = run + out[a - 1] if a else run
     return out
 
 

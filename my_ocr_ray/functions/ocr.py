@@ -158,64 +158,107 @@ def _downsample_block(bitmap: np.ndarray, scale: int) -> np.ndarray:
     return blocks > 0.5
 
 
+def glyph_segments(
+    crops: list[np.ndarray], scale: int = 2
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Segment every word crop into glyph column-runs and template-match
+    each glyph, in one padded-strip pass over all crops.
+
+    Returns ``(word, x0, x1, cls, conf)`` arrays, one entry per glyph in
+    (word, x) order; ``x0``/``x1`` are crop columns. Crops are ink masks
+    (nonzero = ink). They are laid side by side, one blank column apart, in
+    a strip of the tallest crop's height, so one column-any finds every
+    glyph run of every crop. Glyph ink columns are contiguous (asserted in
+    tests) and the minimum inter-glyph gap is one spacing column
+    (= scale), so raw column runs ARE the glyph segments — no merge. Each
+    glyph is trimmed to its ink rows (one reduce over all runs) and looked
+    up exactly among the templates rendered at ``scale``; a miss (noise,
+    rotated TTA variants) falls back to the block-downsample + Hamming
+    search."""
+    masks = [np.asarray(c, dtype=bool) for c in crops]
+    # crop i starts at column left[i]; a blank column precedes every crop
+    # and ends the strip, so every run starts and stops inside it
+    left = np.cumsum([1] + [m.shape[1] + 1 for m in masks])
+    height = max([m.shape[0] for m in masks] + [1])
+    strip = np.zeros((height, int(left[-1])), dtype=bool)
+    for m, c in zip(masks, left.tolist()):
+        strip[: m.shape[0], c : c + m.shape[1]] = m
+    col = strip.any(axis=0)
+    edges = np.flatnonzero(col[1:] != col[:-1]) + 1
+    x0, x1 = edges[::2], edges[1::2]
+    word = np.searchsorted(left, x0, side="right") - 1
+    matches: list[tuple[int, float]] = []
+    if x0.size:
+        # every column between two runs is blank, so reducing from one run
+        # start to the next gives each run's ink rows
+        rows = np.logical_or.reduceat(strip, x0, axis=1)
+        top = rows.argmax(axis=0).tolist()
+        bot = (height - rows[::-1].argmax(axis=0)).tolist()
+        exact = _exact_for_scale(scale)
+        for t, b, a, e in zip(top, bot, x0.tolist(), x1.tolist()):
+            g = strip[t:b, a:e]
+            hit = exact.get((g.shape, g.tobytes()))
+            matches.append(
+                (hit, 1.0) if hit is not None else _match_glyph(_downsample_block(g, scale))
+            )
+    cls = np.array([c for c, _ in matches], dtype=np.int64)
+    conf = np.array([p for _, p in matches], dtype=np.float64)
+    return word, x0 - left[word], x1 - left[word], cls, conf
+
+
 def word_glyph_classes(
     word_ink: np.ndarray, scale: int = 2
 ) -> tuple[np.ndarray, list[tuple[int, int, int, float]]]:
-    """Segment a word crop into glyph column-runs and template-match each:
-    -> (row-trimmed ink, [(x0, x1, class, confidence), ...] in x order).
-
-    Glyph ink columns are contiguous (asserted in tests), and the minimum
-    inter-glyph gap is one spacing column (= scale), so raw column runs ARE
-    the glyph segments — no merge. Shared by :func:`word_frame_logits` (CTC
-    frames) and the seg/attention decode variants (pipelines/queries.py
-    q_decode_variants), which re-express the same matches as a class map /
-    per-step logits."""
+    """One crop's glyphs: -> (row-trimmed ink, [(x0, x1, class, confidence),
+    ...] in x order), via :func:`glyph_segments`. The seg/attention decode
+    variants (pipelines/queries.py q_decode_variants) re-express these
+    matches as a class map / per-step logits."""
     row_ink = word_ink.any(axis=1)
     if not row_ink.any():
         return word_ink[:0], []
     top = int(row_ink.argmax())
     bot = len(row_ink) - int(row_ink[::-1].argmax())
     ink = word_ink[top:bot]
-    exact = _exact_for_scale(scale)
-    out: list[tuple[int, int, int, float]] = []
-    for x0, x1 in _runs(ink.any(axis=0)):
-        g = ink[:, x0:x1]
-        gr = g.any(axis=1)
-        gt = int(gr.argmax())
-        g = g[gt : len(gr) - int(gr[::-1].argmax())]
-        hit = exact.get((g.shape, g.tobytes()))
-        if hit is not None:
-            cls, conf = hit, 1.0
-        else:
-            cls, conf = _match_glyph(_downsample_block(g, scale))
-        out.append((x0, x1, cls, conf))
-    return ink, out
+    _, x0, x1, cls, conf = glyph_segments([ink], scale)
+    return ink, list(zip(x0.tolist(), x1.tolist(), cls.tolist(), conf.tolist()))
 
 
-def word_frame_logits(word_ink: np.ndarray, scale: int = 2) -> np.ndarray:
-    """Emit a (T, C+1) frame-logit matrix for one word crop.
+def word_frame_batch(
+    crops: list[np.ndarray], scale: int = 2
+) -> tuple[np.ndarray, np.ndarray]:
+    """Frame logits of every word crop as one padded ``(B, T, C+1)`` batch
+    plus its ``(B,)`` valid_ratio vector.
 
     Per segmented glyph: FRAMES_PER_GLYPH frames peaked at the matched class,
     one blank frame between glyphs — so the CTC collapse (drop repeats, drop
-    blanks) genuinely exercises double letters and blank handling.
-    """
+    blanks) genuinely exercises double letters and blank handling. A crop
+    with no glyph is one all-zero frame. Rows are right-padded to the batch
+    max T with blank-peaked frames, as :func:`pad_frame_batch` pads them."""
     n_classes = len(DICT36) + 1
-    _, glyphs = word_glyph_classes(word_ink, scale)
-    if not glyphs:
-        return np.zeros((1, n_classes), dtype=np.float32)
-    classes: list[tuple[int, float]] = [(cls, conf) for _, _, cls, conf in glyphs]
-    # one allocation: [cls cls blank cls cls blank ... cls cls]
-    n = len(classes)
-    t_total = n * FRAMES_PER_GLYPH + (n - 1)
-    base = 0.05 / n_classes
-    frames = np.full((t_total, n_classes), base, dtype=np.float32)
     stride = FRAMES_PER_GLYPH + 1
-    blank_rows = np.arange(FRAMES_PER_GLYPH, t_total, stride)
-    frames[blank_rows, BLANK_IDX] = 0.95
-    for gi, (cls, conf) in enumerate(classes):
-        r0 = gi * stride
-        frames[r0 : r0 + FRAMES_PER_GLYPH, cls] = 0.5 + 0.5 * conf
-    return frames
+    word, _, _, cls, conf = glyph_segments(crops, scale)
+    n = np.bincount(word, minlength=len(crops))
+    t_word = np.maximum(n * stride - 1, 1)
+    tmax = int(t_word.max(initial=1))
+    pad = np.zeros(n_classes, dtype=np.float32)
+    pad[BLANK_IDX] = 1.0
+    fill = np.where(n > 0, np.float32(0.05 / n_classes), np.float32(0.0))
+    valid = np.arange(tmax)[None, :] < t_word[:, None]
+    frames = np.where(valid[:, :, None], fill[:, None, None], pad)
+    # glyph r of a word fills frames [r*stride, r*stride + FRAMES_PER_GLYPH);
+    # the frame after it is blank unless r is the word's last glyph
+    rank = np.arange(word.size) - np.searchsorted(word, word)
+    inner = rank < n[word] - 1
+    frames[word[inner], rank[inner] * stride + FRAMES_PER_GLYPH, BLANK_IDX] = 0.95
+    for f in range(FRAMES_PER_GLYPH):
+        frames[word, rank * stride + f, cls] = 0.5 + 0.5 * conf
+    return frames, (t_word / tmax).astype(np.float32)
+
+
+def word_frame_logits(word_ink: np.ndarray, scale: int = 2) -> np.ndarray:
+    """Emit a (T, C+1) frame-logit matrix for one word crop: the one row
+    of :func:`word_frame_batch`."""
+    return word_frame_batch([word_ink], scale)[0][0]
 
 
 def pad_frame_batch(

@@ -1,11 +1,14 @@
 """The flagship extraction pipeline: interleaved docs -> extracted docs.
 
 Ray-Data shape (SURVEY.md §3.1 "RD shape"). Each input row is one whole
-document, so by default no exchange is needed — one document-level actor
-call runs the whole row-local chain on a batch of documents:
+document, so by default no exchange is needed — a document-level actor
+recognizes the media spans of a batch of documents, and a stateless task
+finishes the rest of the row-local chain on the idle cores:
 
-    read -> map_batches(DocOCRStage, concurrency=N)  # explode -> strip ->
-                                                     # OCR -> rebuild
+    read -> map_batches(DocOCRStage, concurrency=N)  # explode -> OCR media
+                                                     # spans -> rebuild
+         -> map_batches(parse_documents)             # explode -> strip ->
+                                                     # pdf -> rebuild (task)
          -> write_parquet / Dataset
 
 The ``doc_id`` exchange runs only on the ``media_ds`` shuffle join, which
@@ -34,7 +37,7 @@ from typing import Optional
 import pyarrow.parquet as pq
 
 from ..sizing import actor_pool, approx_rows, cluster_cpus, hash_partitions
-from ..stages.ocrstage import DocOCRStage, OCRStage
+from ..stages.ocrstage import DocOCRStage, OCRStage, parse_documents
 from ..stages.reassemble import reassemble_hash
 from ..stages.route import explode_spans
 from ..stages.textstage import strip_boilerplate
@@ -188,9 +191,13 @@ def extract(
     footer-estimated bytes vs the object store size.
 
     Plan: with a broadcast lookup the plan is exchange-free
-    (``read -> DocOCRStage -> write``): each actor call explodes, strips,
-    OCRs (in span-row slices of at most ``ocr_batch_size``) and rebuilds a
-    batch of ``ocr_batch_size // EST_SPANS_PER_DOC`` documents. Only the
+    (``read -> DocOCRStage -> parse_documents -> write``): each actor call
+    explodes a batch of ``ocr_batch_size // EST_SPANS_PER_DOC`` documents,
+    OCRs their media spans (in slices of at most ``ocr_batch_size`` rows)
+    and rebuilds them; a stateless task then strips boilerplate, extracts
+    HTML, decodes pdf spans and rebuilds again. Ray Data does not fuse an
+    actor operator into the task after it, so the task runs beside the
+    actor and fuses into the write. Only the
     ``media_ds`` join scatters a document's span rows, so only it pays the
     ``doc_id`` hash exchange. A hot document is one input row like any
     other and takes the plan its media strategy selects.
@@ -232,8 +239,8 @@ def extract(
     }
 
     if media_ds is None:
-        # no step scatters a document's span rows: fuse the whole chain
-        # into one row-local actor call and skip the doc_id exchange
+        # no step scatters a document's span rows: no doc_id exchange. Only
+        # media recognition waits on the actor; the rest runs in a task
         return docs_ds.map_batches(
             DocOCRStage,
             fn_constructor_kwargs={**stage_kwargs, "ocr_batch_size": ocr_batch_size},
@@ -241,6 +248,12 @@ def extract(
             batch_size=max(1, ocr_batch_size // EST_SPANS_PER_DOC),
             zero_copy_batch=True,
             concurrency=ocr_concurrency,
+        ).map_batches(
+            parse_documents,
+            fn_kwargs={"media_lookup_ref": media_lookup_ref, "on_error": on_error},
+            batch_format="pyarrow",
+            batch_size=None,
+            zero_copy_batch=True,
         )
 
     n_docs = approx_rows(docs_ds)

@@ -4,8 +4,8 @@ Group processed span rows by ``doc_id`` and rebuild the ``spans`` list
 sorted by ``offset``. The reference never shuffles (one image per process,
 list order implicit, ``ocr.py:193-199``), and neither does the default
 extraction plan: each input row is a whole document, so
-``ocrstage.DocOCRStage`` calls :func:`_build_doc_rows` on the span rows it
-produced itself. The one exchange, :func:`reassemble_hash` (a ``doc_id``
+``ocrstage.DocOCRStage`` and ``ocrstage.parse_documents`` each call
+:func:`_build_doc_rows` on the span rows they produced themselves. The one exchange, :func:`reassemble_hash` (a ``doc_id``
 hash repartition, then a vectorized per-block rebuild), runs only after
 the ``media_ref`` shuffle join, which scatters a document's span rows
 across blocks. Order is restored explicitly from the carried ``offset``

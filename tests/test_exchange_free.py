@@ -1,13 +1,21 @@
 """Exchange-free extraction plan: with a broadcast media lookup
-``extract()`` runs ``read -> DocOCRStage -> write`` with no ``doc_id``
-exchange, hot documents included; the join path keeps its exchange. Every
-path must produce the same documents."""
+``extract()`` runs ``read -> DocOCRStage -> parse_documents -> write`` with
+no ``doc_id`` exchange, hot documents included; only media rows reach the
+OCR actor. The join path keeps its exchange. Every path must produce the
+same documents."""
+import os
+
 import pyarrow as pa
 import pytest
 
 from my_ocr_ray.pipelines.extract import extract
 from my_ocr_ray.schema import DOCUMENTS_SCHEMA
-from my_ocr_ray.stages.ocrstage import DocOCRStage, OCRStage
+from my_ocr_ray.stages.ocrstage import (
+    DocOCRStage,
+    OCRStage,
+    _MediaTableLookup,
+    parse_documents,
+)
 from my_ocr_ray.synth import corpus_tables
 
 
@@ -24,11 +32,25 @@ def _got_map(rows):
     return {r["doc_id"]: [dict(s) for s in r["spans"]] for r in rows}
 
 
-def _lookup(ray_session, media, corrupt=()):
+def _lookup(ray_session, media, corrupt=(), missing=()):
     table = dict(zip(media["media_ref"].to_pylist(), media["bytes"].to_pylist()))
     for ref in corrupt:
-        table[ref] = b"\x89PNG\r\n\x1a\n not really a png"
+        table[ref] = (b"%PDF-1.4 truncated" if ref.startswith("p-")
+                      else b"\x89PNG\r\n\x1a\n not really a png")
+    for ref in missing:
+        del table[ref]
     return ray_session.put(table)
+
+
+def _pdf_refs(media):
+    return [r for r in media["media_ref"].to_pylist() if r.startswith("p-")]
+
+
+def _without(expected, refs):
+    return {
+        doc: [s for s in spans if s["media_ref"] not in refs]
+        for doc, spans in _expected_map(expected).items()
+    }
 
 
 def _operators(ds) -> list[str]:
@@ -81,8 +103,10 @@ def test_plan_shape(ray_session, corpus, path, shuffles):
     assert any("OCRStage" in op for op in ops), ops
     if path != "join":
         assert any("DocOCRStage" in op for op in ops), ops
+        assert any("parse_documents" in op for op in ops), ops
     else:
         assert any("Join(" in op for op in ops), ops
+        assert not any("parse_documents" in op for op in ops), ops
     assert _got_map(ds.take_all()) == exp
 
 
@@ -102,22 +126,120 @@ def test_small_ocr_slices_match_goldens(ray_session, corpus, path):
 
 
 def test_doc_stage_bounds_ocr_slices(ray_session, corpus, monkeypatch):
-    """One call on the whole corpus runs OCR in slices of at most
-    ``ocr_batch_size`` span rows and rebuilds every document."""
+    """One call on the whole corpus sends only media rows to OCR, in slices
+    of at most ``ocr_batch_size`` rows, and passes every other span through
+    untouched; ``parse_documents`` after it gives the goldens."""
     docs, media, expected = corpus
-    sizes = []
+    slices = []
     span_call = OCRStage.__call__
 
     def spy(self, batch):
-        sizes.append(batch.num_rows)
+        slices.append(batch)
         return span_call(self, batch)
 
     monkeypatch.setattr(OCRStage, "__call__", spy)
-    stage = DocOCRStage(media_lookup_ref=_lookup(ray_session, media), ocr_batch_size=16)
-    out = stage(docs)
-    assert len(sizes) > 1 and max(sizes) <= 16
+    lookup = _lookup(ray_session, media)
+    out = DocOCRStage(media_lookup_ref=lookup, ocr_batch_size=16)(docs)
+    assert len(slices) > 1 and max(b.num_rows for b in slices) <= 16
+    assert all(set(b["kind"].to_pylist()) == {"media"} for b in slices)
+    assert sum(b.num_rows for b in slices) == sum(
+        s["kind"] == "media" for r in docs.to_pylist() for s in r["spans"]
+    )
     assert out.schema == DOCUMENTS_SCHEMA
+    untouched = {
+        d: [s for s in spans if s["kind"] != "media"]
+        for d, spans in _got_map(docs.to_pylist()).items()
+    }
+    assert {
+        d: [s for s in spans if s["kind"] != "media"]
+        for d, spans in _got_map(out.to_pylist()).items()
+    } == untouched
+    parsed = parse_documents(out, media_lookup_ref=lookup)
+    assert parsed.schema == DOCUMENTS_SCHEMA
+    assert _got_map(parsed.to_pylist()) == _expected_map(expected)
+
+
+@pytest.mark.parametrize("form", ["dict", "table", "precomputed"])
+def test_parse_resolves_every_lookup_form(ray_session, corpus, form):
+    """The task decodes pdf spans from a plain dict, a bare Arrow table or
+    the precomputed index payload of ``load_media_lookup``."""
+    docs, media, expected = corpus
+    table = media.select(["media_ref", "bytes"]).combine_chunks()
+    payload = {
+        "dict": lambda: dict(zip(table["media_ref"].to_pylist(), table["bytes"].to_pylist())),
+        "table": lambda: table,
+        "precomputed": lambda: _MediaTableLookup.precompute(table),
+    }[form]()
+    ref = ray_session.put(payload)
+    out = parse_documents(DocOCRStage(media_lookup_ref=ref)(docs), media_lookup_ref=ref)
     assert _got_map(out.to_pylist()) == _expected_map(expected)
+
+
+def test_corrupt_pdf_spans(ray_session, corpus):
+    """Corrupt pdf bytes: ``skip`` drops exactly those pdf spans, ``raise``
+    makes ``extract()`` raise."""
+    import ray.data
+
+    docs, media, expected = corpus
+    bad = set(_pdf_refs(media)[::2])
+    out = extract(
+        ray.data.from_arrow(docs).repartition(4),
+        media_lookup_ref=_lookup(ray_session, media, corrupt=bad),
+        on_error="skip",
+    ).take_all()
+    assert _got_map(out) == _without(expected, bad)
+    with pytest.raises(Exception, match="PDF|/Catalog|NotImplementedError"):
+        extract(
+            ray.data.from_arrow(docs).repartition(4),
+            media_lookup_ref=_lookup(ray_session, media, corrupt=bad),
+        ).take_all()
+
+
+def test_missing_pdf_ref(ray_session, corpus):
+    """A pdf ref absent from the lookup is dropped under ``skip`` and
+    raises KeyError under ``raise``."""
+    import ray.data
+
+    docs, media, expected = corpus
+    gone = set(_pdf_refs(media)[:3])
+    out = extract(
+        ray.data.from_arrow(docs).repartition(4),
+        media_lookup_ref=_lookup(ray_session, media, missing=gone),
+        on_error="skip",
+    ).take_all()
+    assert _got_map(out) == _without(expected, gone)
+    with pytest.raises(Exception, match="KeyError"):
+        extract(
+            ray.data.from_arrow(docs).repartition(4),
+            media_lookup_ref=_lookup(ray_session, media, missing=gone),
+        ).take_all()
+
+
+def test_killed_ocr_actor_restarts(ray_session, corpus, tmp_path, monkeypatch):
+    """The OCR actor's process dies on its first call: Ray restarts it from
+    its constructor arguments (the media lookup ref, held only by the plan)
+    and the job still yields the goldens."""
+    import ray.data
+
+    from my_ocr_ray.pipelines import extract as extract_mod
+
+    docs, media, expected = corpus
+    marker = str(tmp_path / "killed")
+
+    class KillOnce(DocOCRStage):
+        def __call__(self, batch):
+            if not os.path.exists(marker):
+                open(marker, "w").close()
+                os._exit(1)
+            return super().__call__(batch)
+
+    monkeypatch.setattr(extract_mod, "DocOCRStage", KillOnce)
+    out = extract(
+        ray.data.from_arrow(docs).repartition(4),
+        media_lookup_ref=_lookup(ray_session, media),
+    ).take_all()
+    assert os.path.exists(marker)
+    assert _got_map(out) == _expected_map(expected)
 
 
 def test_all_boilerplate_doc_keeps_empty_row(ray_session):
@@ -154,11 +276,7 @@ def test_skip_drops_only_corrupted_media_spans(ray_session, corpus):
         media_lookup_ref=_lookup(ray_session, media, corrupt=bad),
         on_error="skip",
     ).take_all()
-    exp = {
-        doc: [s for s in spans if s["media_ref"] not in bad]
-        for doc, spans in _expected_map(expected).items()
-    }
-    assert _got_map(out) == exp
+    assert _got_map(out) == _without(expected, bad)
 
 
 def test_empty_input_block(ray_session, corpus):
