@@ -447,7 +447,7 @@ def split_leakage(docs_ds, num_hashes: int = 4, band_size: int = 2, k: int = 3,
     from .sizing import configure_hash_shuffle
 
     # pin the join aggregator pools' CPU claim (fixed budget / partitions)
-    configure_hash_shuffle(pairs, num_partitions, 4.0)
+    pairs = configure_hash_shuffle(pairs, num_partitions, 4.0)
     j = pairs.join(
         docs_ds.map_batches(as_a, batch_format="pyarrow"),
         join_type="inner", num_partitions=num_partitions, on=("doc_a",),
@@ -1277,7 +1277,7 @@ def incremental_dedup(new_docs_ds, known_docs_ds, path: str | None = None,
         # partitions) — without this Ray's min(1, CPU/2/partitions)
         # heuristic can claim ~half the cluster and contend with
         # neighbouring actor pools (the CLAUDE.md resource-fit invariant)
-        configure_hash_shuffle(new_fps, num_partitions, 4.0)
+        new_fps = configure_hash_shuffle(new_fps, num_partitions, 4.0)
         fresh = new_fps.join(
             known_fps.select_columns(["fp"]),
             join_type="left_anti",
@@ -2458,7 +2458,7 @@ def neardup_edit_stats(
 
     # pin the two id-keyed join aggregator pools' CPU claim (same fixed
     # budget as shipping_revenue) so they never contend with neighbours
-    configure_hash_shuffle(pairs, num_partitions, 4.0)
+    pairs = configure_hash_shuffle(pairs, num_partitions, 4.0)
     j = pairs.join(
         docs_ds.map_batches(as_a, batch_format="pyarrow"),
         join_type="inner", num_partitions=num_partitions, on=("doc_a",),

@@ -36,7 +36,13 @@ from typing import Optional
 
 import pyarrow.parquet as pq
 
-from ..sizing import actor_pool, approx_rows, cluster_cpus, hash_partitions
+from ..sizing import (
+    actor_pool,
+    approx_rows,
+    cluster_cpus,
+    configure_hash_shuffle,
+    hash_partitions,
+)
 from ..stages.ocrstage import DocOCRStage, OCRStage, parse_documents
 from ..stages.reassemble import reassemble_hash
 from ..stages.route import explode_spans
@@ -211,9 +217,13 @@ def extract(
     Shuffle sizing: the partition count (shared by the join and the
     ``doc_id`` exchange) scales with the INPUT SIZE (estimated span rows /
     ``sizing.ROWS_PER_HASH_PARTITION``), floored at one per two CPUs and
-    capped at 4x CPUs; the aggregator CPU claim stays a fixed budget
-    (~cpus/8) regardless of partition count by shrinking the per-partition
-    claim, so growing data never shrinks the OCR pool.
+    capped at 4x CPUs; the aggregator processes that run those partitions
+    follow the rows (``sizing.hash_aggregators``: one per 2M span rows,
+    enough that none claims over one CPU). The aggregator CPU claim stays
+    a fixed budget (~cpus/8) regardless of partition count by shrinking the
+    per-partition claim, so growing data never shrinks the OCR pool. The
+    join plan runs on its own copy of ``docs_ds``'s DataContext; the
+    caller's is untouched.
     """
     if media_path is not None:
         if media_lookup_ref is not None or media_ds is not None:
@@ -257,17 +267,20 @@ def extract(
         )
 
     n_docs = approx_rows(docs_ds)
-    shuffle_partitions = hash_partitions(
-        None if n_docs is None else n_docs * EST_SPANS_PER_DOC,
-        cpus,
-        floor=max(2, cpus // 2),
-    )
+    span_rows = None if n_docs is None else n_docs * EST_SPANS_PER_DOC
+    shuffle_partitions = hash_partitions(span_rows, cpus, floor=max(2, cpus // 2))
     spans = docs_ds.map_batches(
         explode_spans,
         batch_format="pyarrow",
         zero_copy_batch=True,
         fn_kwargs={"with_sentinel": True},
     ).map_batches(strip_boilerplate, batch_format="pyarrow", zero_copy_batch=True)
+    # one context for both exchanges (the media_ref join and the doc_id
+    # exchange), the plan's own: partitions from the cluster, aggregator
+    # processes from rows; the caller's docs_ds keeps its settings
+    spans = configure_hash_shuffle(
+        spans, shuffle_partitions, aggregator_cpu_budget, rows=span_rows
+    )
 
     # scale path: shuffle join span rows <- media bytes on media_ref.
     # Text spans carry media_ref="" and must not be dropped: left join.
@@ -285,8 +298,4 @@ def extract(
         concurrency=ocr_concurrency,
     )
 
-    return reassemble_hash(
-        processed,
-        num_partitions=shuffle_partitions,
-        aggregator_cpu_budget=aggregator_cpu_budget,
-    )
+    return reassemble_hash(processed, num_partitions=shuffle_partitions)

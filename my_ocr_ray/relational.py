@@ -393,7 +393,7 @@ def shipping_revenue(
     # pin the join aggregator pool's total CPU claim exactly as
     # _hash_parts does for keyed exchanges — at the partition cap an
     # unbudgeted pool (0.25 CPU x 128 partitions) would claim every core
-    configure_hash_shuffle(li, join_num_partitions, 4.0)
+    li = configure_hash_shuffle(li, join_num_partitions, 4.0)
     joined = li.join(
         orders_q,
         join_type="inner",

@@ -21,7 +21,6 @@ import numpy as np
 import pyarrow as pa
 
 from ..schema import DOCUMENTS_SCHEMA, SPAN_STRUCT
-from ..sizing import configure_hash_shuffle
 
 
 def _spans_struct(tbl: pa.Table, order: np.ndarray) -> pa.StructArray:
@@ -72,16 +71,17 @@ def _build_doc_rows(group: pa.Table) -> pa.Table:
     return pa.Table.from_arrays([doc_ids, spans], schema=DOCUMENTS_SCHEMA)
 
 
-def reassemble_hash(span_rows, num_partitions: int, aggregator_cpu_budget: float):
+def reassemble_hash(span_rows, num_partitions: int):
     """Explicit doc_id-hash repartition -> per-block vectorized rebuild.
 
     ``repartition(keys=['doc_id'])`` is a hash exchange that co-locates every
     span row of a document in one output block; ``_build_doc_rows`` then
     rebuilds all documents of a block in one vectorized call
     (``batch_size=None`` = whole block). ``extract()`` sizes the exchange
-    (``sizing.hash_partitions``) and its aggregator CPU budget.
+    (``sizing.hash_partitions``) and sets its plan's hash-shuffle backend,
+    aggregator count and CPU claim (``sizing.configure_hash_shuffle``)
+    before the media join it shares them with.
     """
-    configure_hash_shuffle(span_rows, num_partitions, aggregator_cpu_budget)
     parts = span_rows.repartition(num_blocks=num_partitions, keys=["doc_id"])
     return parts.map_batches(
         _build_doc_rows, batch_format="pyarrow", batch_size=None,

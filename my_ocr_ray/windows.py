@@ -146,7 +146,7 @@ def _hash_parts(ds, keys, num_partitions: int | None = None,
         )
         if len(SIZING_LOG) > 4096:  # bounded: diagnostics, not a ledger
             del SIZING_LOG[:2048]
-    sizing.configure_hash_shuffle(ds, num_partitions, aggregator_cpu_budget)
+    ds = sizing.configure_hash_shuffle(ds, num_partitions, aggregator_cpu_budget)
     return ds.repartition(num_blocks=num_partitions, keys=keys)
 
 

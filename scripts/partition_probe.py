@@ -1,8 +1,10 @@
 """Document that auto-sized hash exchanges scale partition count with data.
 
 Two parts:
-1. The pure sizing rule (`sizing.hash_partitions` with the keyed-exchange
-   floor min(8, cpus)) evaluated over a row ladder at 32 CPUs — the partition-count table for BASELINE.md.
+1. The pure sizing rules (`sizing.hash_partitions` with the keyed-exchange
+   floor min(8, cpus), and `sizing.hash_aggregators`, the aggregator
+   processes that run those partitions) evaluated over a row ladder at
+   32 CPUs — the partition-count table for BASELINE.md.
 2. A live probe: run exchange-heavy queries at a real sf dir, dump every
    auto-sized exchange from `windows.SIZING_LOG` (estimated rows -> chosen
    partitions), proving the row estimate reaches the sizer on real plans.
@@ -19,15 +21,22 @@ def main() -> None:
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
 
     from my_ocr_ray import windows
-    from my_ocr_ray.sizing import hash_partitions
+    from my_ocr_ray.sizing import hash_aggregators, hash_partitions
 
-    print("# sizing rule @ 32 CPUs (floor 8, cap 128, 2M rows/partition)")
+    def row(rows, cpus):
+        parts = hash_partitions(rows, cpus, 8)
+        return (f"rows={rows:>16,} -> partitions={parts} "
+                f"aggregators={hash_aggregators(rows, parts)}")
+
+    print("# sizing rule @ 32 CPUs (floor 8, cap 128, 2M rows/partition; "
+          "aggregators as extract's join plan sets them — the battery "
+          "exchanges below still run one per partition)")
     for rows in [100_000, 1_600_000, 16_000_000, 200_000_000,
                  2_000_000_000, 1_000_000_000_000]:
-        print(f"rows={rows:>16,} -> partitions={hash_partitions(rows, 32, 8)}")
+        print(row(rows, 32))
     print("# same rule @ 8192 CPUs (256-node cluster): cap 512")
     for rows in [200_000_000, 2_000_000_000, 1_000_000_000_000]:
-        print(f"rows={rows:>16,} -> partitions={hash_partitions(rows, 8192, 8)}")
+        print(row(rows, 8192))
 
     import ray
 
