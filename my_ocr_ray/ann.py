@@ -145,7 +145,7 @@ class _KnnSelfJoin:
         )
 
 
-def knn_graph(emb_ds, k: int = 3, concurrency: int = 4):
+def knn_graph(emb_ds, k: int = 3):
     """Exact cosine kNN self-join -> (vec_id, rank, nbr_id, sim): each
     vector's ``k`` nearest OTHER vectors, ties broken by neighbor id.
 
@@ -153,7 +153,8 @@ def knn_graph(emb_ds, k: int = 3, concurrency: int = 4):
     (``to_arrow_refs`` — the driver holds refs, never rows); each actor
     materializes (ids, unit matrix) once in ``__init__``. ZERO exchange:
     every output row leaves its task already final, so shuffle volume is 0
-    and compute is the unavoidable O(n^2) matmul spread across the pool.
+    and compute is the unavoidable O(n^2) matmul spread across the pool
+    (``actor_pool(1, cap=4)``, the same as :func:`brute_force_topk`).
 
     100-TB path: an all-pairs build side cannot be broadcast at corpus
     scale — swap the build state for IVF cells (``train_ivf_centroids`` +
@@ -161,12 +162,11 @@ def knn_graph(emb_ds, k: int = 3, concurrency: int = 4):
     approximate recall). This exact kernel remains the per-cell inner loop.
     """
     refs = emb_ds.to_arrow_refs()
-    concurrency = actor_pool(1, cap=concurrency)
     return emb_ds.map_batches(
         _KnnSelfJoin,
         batch_format="pyarrow",
         fn_constructor_args=(refs, k),
-        concurrency=concurrency,
+        concurrency=actor_pool(1, cap=4),
     )
 
 
@@ -309,7 +309,6 @@ def knn_graph_ivf(
     centroids: np.ndarray,
     k: int = 3,
     nprobe: int = 2,
-    num_partitions: int | None = None,
 ):
     """Approximate kNN self-join — the 100-TB path of :func:`knn_graph`.
 
@@ -405,7 +404,7 @@ def knn_graph_ivf(
         return pa.concat_tables(out) if out else empty
 
     probed = emb_ds.map_batches(probe, batch_format="pyarrow")
-    return _hash_parts(probed, ["cell"], num_partitions).map_batches(
+    return _hash_parts(probed, ["cell"]).map_batches(
         cell_topk, batch_format="pyarrow", batch_size=None
     )
 

@@ -91,7 +91,7 @@ def ngram_count_partial(batch: pa.Table, n: int) -> pa.Table:
     )
 
 
-def ngram_topk(docs_ds, n: int = 3, k: int = 20, agg_blocks: int | None = None):
+def ngram_topk(docs_ds, n: int = 3, k: int = 20):
     """Corpus-wide top-k n-grams by count (ties broken by n-gram text).
 
     Shape: vectorized partial counts -> small groupby-sum -> per-block
@@ -103,18 +103,16 @@ def ngram_topk(docs_ds, n: int = 3, k: int = 20, agg_blocks: int | None = None):
     """
     from .windows import _hash_parts
 
-    # partials are distinct-gram-bounded (≪ input); when the input block
-    # count vastly exceeds the partial volume, pass agg_blocks to size the
-    # combine exchange — micro-partitions cost pure aggregator startup.
+    # partials are distinct-gram-bounded (≪ input), so the combine exchange
+    # is sized from the input rows like every other keyed exchange
     partial = docs_ds.map_batches(
         lambda b, n=n: ngram_count_partial(b, n), batch_format="pyarrow"
     )
     # gram-keyed hash exchange + per-block Arrow combine: each gram's total
     # lands in exactly one block, so per-block top-k stays exact. Ray's
     # sort-based groupby().aggregate(Sum) cost 5.4s on a 27k-row partial
-    # table (measured); this shape is ~15x cheaper and is the same
-    # scale path as inverted_index.
-    combined = _hash_parts(partial, ["ngram"], agg_blocks)
+    # table (measured); this shape is ~15x cheaper.
+    combined = _hash_parts(partial, ["ngram"])
 
     def block_topk(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:
@@ -742,8 +740,7 @@ def stratified_sample(docs_ds, key: str = "lang", k: int = 10):
 # ---------------------------------------------------------------------------
 
 
-def inverted_index(docs_ds, k: int = 5, min_df: int = 2,
-                   num_partitions: int | None = None):
+def inverted_index(docs_ds, k: int = 5, min_df: int = 2):
     """Distributed inverted-index build: per token, its document
     frequency and the first ``k`` doc_ids (ascending, comma-joined) —
     the retrieval-side artifact of a curation run (BM25 index shards,
@@ -754,12 +751,8 @@ def inverted_index(docs_ds, k: int = 5, min_df: int = 2,
     blocks and postings merge without re-deduplication. Per block the
     pair list is capped to the k smallest doc_ids per token before the
     exchange; the combine then sees ≤ k x blocks candidates per token.
-    By default the combine runs on one coalesced block (vocabulary-sized
-    table — same rationale as :func:`shared_gram_fraction`); for an
-    unbounded vocabulary pass ``num_partitions`` to hash-exchange the
-    partials on token instead — each token's candidates land in exactly
-    one block, so the identical combine kernel runs per partition and
-    no single worker ever holds the whole vocabulary."""
+    The combine runs on one coalesced block (vocabulary-sized table —
+    same rationale as :func:`shared_gram_fraction`)."""
 
     def partial(batch: pa.Table) -> pa.Table:
         toks, row_ids, _ = flat_tokens(batch["text"])
@@ -842,14 +835,11 @@ def inverted_index(docs_ds, k: int = 5, min_df: int = 2,
             }
         )
 
-    partials = docs_ds.map_batches(partial, batch_format="pyarrow")
-    if num_partitions is not None:
-        from .windows import _hash_parts
-
-        partials = _hash_parts(partials, ["token"], num_partitions)
-    else:
-        partials = partials.repartition(1)
-    return partials.map_batches(combine, batch_format="pyarrow", batch_size=None)
+    return (
+        docs_ds.map_batches(partial, batch_format="pyarrow")
+        .repartition(1)
+        .map_batches(combine, batch_format="pyarrow", batch_size=None)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1215,8 +1205,7 @@ def pmi_bigrams(docs_ds, k: int = 20, min_count: int = 5):
     )
 
 
-def seq_pack(docs_ds, budget: int = 200, group_col: str = "source",
-             num_partitions: int | None = None):
+def seq_pack(docs_ds, budget: int = 200, group_col: str = "source"):
     """Greedy sequence packing for LLM training-data prep: within each
     group (documents ordered by doc_id), accumulate ``\\S+`` token counts
     and start a new sequence whenever adding the next document would
@@ -1265,12 +1254,12 @@ def seq_pack(docs_ds, budget: int = 200, group_col: str = "source",
         )
 
     counted = docs_ds.map_batches(count_tokens, batch_format="pyarrow")
-    return _hash_parts(counted, [group_col], num_partitions).map_batches(
+    return _hash_parts(counted, [group_col]).map_batches(
         pack_block, batch_format="pyarrow", batch_size=None
     )
 
 
-def epoch_shuffle(docs_ds, seed: int = 13, num_partitions: int | None = None):
+def epoch_shuffle(docs_ds, seed: int = 13):
     """Deterministic training-epoch shuffle -> (doc_id, shuffle_rank):
     the global position of each document under the pseudo-random order
     md5(f"{seed}:{doc_id}") (ties by doc_id). Changing ``seed`` yields a
@@ -1360,7 +1349,6 @@ def epoch_shuffle(docs_ds, seed: int = 13, num_partitions: int | None = None):
     return _hash_parts(
         ids_only.map_batches(keyed, batch_format="pyarrow"),
         ["bucket"],
-        num_partitions,
     ).map_batches(rank_block, batch_format="pyarrow", batch_size=None)
 
 

@@ -28,6 +28,12 @@ from .functions.textproc import (
     minhash_sigs_matrix,
     simhash64_batch,
 )
+from .sizing import (
+    AGGREGATOR_CPU_BUDGET,
+    approx_rows,
+    configure_hash_shuffle,
+    exchange_partitions,
+)
 
 
 # Conservative per-document row-expansion estimates used ONLY for exchange
@@ -159,7 +165,6 @@ def lsh_candidate_pairs(
     num_hashes: int = 8,
     band_size: int = 2,
     k: int = 3,
-    num_partitions: int | None = None,
     max_bucket_rows: int = 100_000,
 ):
     """-> distinct (doc_a, doc_b) candidate near-duplicate pairs.
@@ -170,7 +175,6 @@ def lsh_candidate_pairs(
     hamming-LSH family), and the cross-band pair dedup is a second skinny
     exchange + per-block Arrow ``group_by``. A band bucket above
     ``max_bucket_rows`` raises instead of silently going quadratic."""
-    from .sizing import approx_rows
     from .windows import _hash_parts
 
     # band rows = docs x n_bands: tell the exchange sizer about the fan-out
@@ -205,10 +209,10 @@ def lsh_candidate_pairs(
     def distinct(batch: pa.Table) -> pa.Table:
         return batch.group_by(["doc_a", "doc_b"]).aggregate([])
 
-    pairs = _hash_parts(
-        bands, ["band"], num_partitions, approx_rows=band_rows_est
-    ).map_batches(block_pairs, batch_format="pyarrow", batch_size=None)
-    return _hash_parts(pairs, ["doc_a", "doc_b"], num_partitions).map_batches(
+    pairs = _hash_parts(bands, ["band"], approx_rows=band_rows_est).map_batches(
+        block_pairs, batch_format="pyarrow", batch_size=None
+    )
+    return _hash_parts(pairs, ["doc_a", "doc_b"]).map_batches(
         distinct, batch_format="pyarrow", batch_size=None
     )
 
@@ -270,7 +274,6 @@ def winnow_fingerprints(docs_ds, k: int = 5, w: int = 4):
 
 
 def winnow_pairs(docs_ds, k: int = 5, w: int = 4,
-                 num_partitions: int | None = None,
                  max_bucket_rows: int = 100_000):
     """Candidate near-dup pairs sharing a winnowed fingerprint — same
     bucketed shape as :func:`lsh_candidate_pairs` (fp-keyed hash exchange,
@@ -302,10 +305,10 @@ def winnow_pairs(docs_ds, k: int = 5, w: int = 4,
     def distinct(batch: pa.Table) -> pa.Table:
         return batch.group_by(["doc_a", "doc_b"]).aggregate([])
 
-    pairs = _hash_parts(fps, ["fp"], num_partitions).map_batches(
+    pairs = _hash_parts(fps, ["fp"]).map_batches(
         block_pairs, batch_format="pyarrow", batch_size=None
     )
-    return _hash_parts(pairs, ["doc_a", "doc_b"], num_partitions).map_batches(
+    return _hash_parts(pairs, ["doc_a", "doc_b"]).map_batches(
         distinct, batch_format="pyarrow", batch_size=None
     )
 
@@ -324,7 +327,7 @@ def simhash_table(docs_ds):
     return docs_ds.map_batches(simhash_batch, batch_format="pyarrow")
 
 
-def jaccard_pairs(docs_ds, k: int = 3, num_partitions: int = 8):
+def jaccard_pairs(docs_ds, k: int = 3):
     """n-gram Jaccard similarity of each (doc_id, doc_id+1) pair — the
     verification kernel, demonstrated over a linear candidate set (a real
     run feeds LSH candidates instead of adjacent ids)."""
@@ -344,7 +347,10 @@ def jaccard_pairs(docs_ds, k: int = 3, num_partitions: int = 8):
     left = docs_ds.map_batches(key_next, batch_format="pyarrow")
     right = docs_ds.map_batches(key_self, batch_format="pyarrow")
     joined = left.join(
-        right, join_type="inner", num_partitions=num_partitions, on=("join_id",)
+        right,
+        join_type="inner",
+        num_partitions=exchange_partitions(approx_rows(docs_ds)),
+        on=("join_id",),
     )
 
     def compute(batch: pa.Table) -> pa.Table:
@@ -363,7 +369,7 @@ def jaccard_pairs(docs_ds, k: int = 3, num_partitions: int = 8):
     return joined.map_batches(compute, batch_format="pyarrow")
 
 
-def containment_pairs(docs_ds, k: int = 3, num_partitions: int = 8):
+def containment_pairs(docs_ds, k: int = 3):
     """Asymmetric n-gram containment of each (doc_id, doc_id+1) pair, both
     directions — catches a short document quoted inside a long one, which
     symmetric Jaccard under-scores (|∩|/|∪| is diluted by the long side).
@@ -386,7 +392,10 @@ def containment_pairs(docs_ds, k: int = 3, num_partitions: int = 8):
     left = docs_ds.map_batches(key_next, batch_format="pyarrow")
     right = docs_ds.map_batches(key_self, batch_format="pyarrow")
     joined = left.join(
-        right, join_type="inner", num_partitions=num_partitions, on=("join_id",)
+        right,
+        join_type="inner",
+        num_partitions=exchange_partitions(approx_rows(docs_ds)),
+        on=("join_id",),
     )
 
     def compute(batch: pa.Table) -> pa.Table:
@@ -412,7 +421,7 @@ def containment_pairs(docs_ds, k: int = 3, num_partitions: int = 8):
 
 def split_leakage(docs_ds, num_hashes: int = 4, band_size: int = 2, k: int = 3,
                   thr: float = 0.5, buckets: int = 10, train: int = 8,
-                  val: int = 1, num_partitions: int = 8):
+                  val: int = 1):
     """Eval-contamination audit through NEAR duplicates: verified near-dup
     pairs that straddle the deterministic train/val/test boundary
     (:func:`my_ocr_ray.corpus.hash_split`). Exact-match decontamination
@@ -422,39 +431,15 @@ def split_leakage(docs_ds, num_hashes: int = 4, band_size: int = 2, k: int = 3,
 
     Scale shape: candidates come from banded MinHash-LSH (never
     all-pairs); texts are joined back with two id-keyed hash exchanges
-    (pair rows are tiny — broadcast the text side instead when it fits);
+    (:func:`_candidate_texts`, shared with :func:`neardup_edit_stats`;
+    pair rows are tiny — broadcast the text side instead when it fits);
     Jaccard verification runs per candidate; and the split flags are a
     PURE FUNCTION of doc_id (md5 buckets), so the leakage filter itself
     adds zero exchanges."""
+    import ray.data
+
     from .corpus import _md5_buckets
     from .functions.textproc import jaccard_ngrams
-
-    pairs = lsh_candidate_pairs(
-        docs_ds, num_hashes=num_hashes, band_size=band_size, k=k,
-        num_partitions=num_partitions,
-    )
-
-    def as_a(batch: pa.Table) -> pa.Table:
-        return pa.Table.from_arrays(
-            [batch["doc_id"], batch["text"]], names=["doc_a", "text_a"]
-        )
-
-    def as_b(batch: pa.Table) -> pa.Table:
-        return pa.Table.from_arrays(
-            [batch["doc_id"], batch["text"]], names=["doc_b", "text_b"]
-        )
-
-    from .sizing import configure_hash_shuffle
-
-    # pin the join aggregator pools' CPU claim (fixed budget / partitions)
-    pairs = configure_hash_shuffle(pairs, num_partitions, 4.0)
-    j = pairs.join(
-        docs_ds.map_batches(as_a, batch_format="pyarrow"),
-        join_type="inner", num_partitions=num_partitions, on=("doc_a",),
-    ).join(
-        docs_ds.map_batches(as_b, batch_format="pyarrow"),
-        join_type="inner", num_partitions=num_partitions, on=("doc_b",),
-    )
 
     empty = pa.Table.from_pydict(
         {
@@ -499,7 +484,53 @@ def split_leakage(docs_ds, num_hashes: int = 4, band_size: int = 2, k: int = 3,
             }
         )
 
+    j = _candidate_texts(docs_ds, num_hashes, band_size, k)
+    if j is None:
+        return ray.data.from_arrow(empty)
     return j.map_batches(verify, batch_format="pyarrow")
+
+
+def _candidate_texts(docs_ds, num_hashes: int, band_size: int, k: int):
+    """Banded-LSH candidate pairs with both documents' texts -> (doc_a,
+    doc_b, text_a, text_b), or None when there is no candidate.
+
+    The candidate pairs are materialized before the two id-keyed joins:
+    hash-shuffled pair output can hold zero-COLUMN empty blocks that crash
+    a downstream keyed join ("no match for key field"), so the joins read
+    the non-empty block refs (see :func:`_nonempty`); and one streaming
+    plan of all four exchanges (LSH bands, distinct pairs, two joins) holds
+    every exchange's aggregators at once, which left a 4-CPU session too
+    few CPUs for the exchanges' own tasks at 4 partitions — it stalled."""
+    pairs = _nonempty(
+        lsh_candidate_pairs(
+            docs_ds, num_hashes=num_hashes, band_size=band_size, k=k
+        )
+    )
+    if pairs is None:
+        return None
+
+    def as_a(batch: pa.Table) -> pa.Table:
+        return pa.Table.from_arrays(
+            [batch["doc_id"], batch["text"]], names=["doc_a", "text_a"]
+        )
+
+    def as_b(batch: pa.Table) -> pa.Table:
+        return pa.Table.from_arrays(
+            [batch["doc_id"], batch["text"]], names=["doc_b", "text_b"]
+        )
+
+    num_partitions = exchange_partitions(approx_rows(docs_ds))
+    # the joins run on the plan's own context with the fixed hash-shuffle
+    # and aggregate claims (budget / partitions, the same as
+    # shipping_revenue); the join aggregators keep Ray's default claim
+    pairs = configure_hash_shuffle(pairs, num_partitions, AGGREGATOR_CPU_BUDGET)
+    return pairs.join(
+        docs_ds.map_batches(as_a, batch_format="pyarrow"),
+        join_type="inner", num_partitions=num_partitions, on=("doc_a",),
+    ).join(
+        docs_ds.map_batches(as_b, batch_format="pyarrow"),
+        join_type="inner", num_partitions=num_partitions, on=("doc_b",),
+    )
 
 
 def embedding_dup_pairs(
@@ -507,7 +538,6 @@ def embedding_dup_pairs(
     threshold: float = 0.9,
     n_planes: int = 16,
     n_bands: int = 2,
-    num_partitions: int | None = None,
     max_bucket_rows: int = 50_000,
 ):
     """Embedding-cosine near-dup pairs above ``threshold``.
@@ -594,9 +624,8 @@ def embedding_dup_pairs(
     cand = _hash_parts(
         emb_ds.map_batches(bucket, batch_format="pyarrow"),
         ["bucket"],
-        num_partitions,
     ).map_batches(block_pairs, batch_format="pyarrow", batch_size=None)
-    return _hash_parts(cand, ["vec_a", "vec_b"], num_partitions).map_batches(
+    return _hash_parts(cand, ["vec_a", "vec_b"]).map_batches(
         distinct, batch_format="pyarrow", batch_size=None
     )
 
@@ -631,8 +660,7 @@ def image_ahash_table(media_ds, grid: int = 8):
 def hamming_lsh_pairs(hashed_ds, id_col: str, hash_col: str,
                       max_hamming: int = 3, n_bands: int = 4,
                       out_a: str = "id_a", out_b: str = "id_b",
-                      include_hamming: bool = False,
-                      num_partitions: int | None = None):
+                      include_hamming: bool = False):
     """Generic banded hamming-LSH over a 64-bit hash column: split each
     hash into ``n_bands`` equal bit-bands; two hashes within hamming
     distance ``n_bands - 1`` MUST agree on at least one band
@@ -723,9 +751,8 @@ def hamming_lsh_pairs(hashed_ds, id_col: str, hash_col: str,
     pairs = _hash_parts(
         hashed_ds.map_batches(bands, batch_format="pyarrow"),
         ["band_key"],
-        num_partitions,
     ).map_batches(block_pairs, batch_format="pyarrow", batch_size=None)
-    return _hash_parts(pairs, [out_a, out_b], num_partitions).map_batches(
+    return _hash_parts(pairs, [out_a, out_b]).map_batches(
         distinct, batch_format="pyarrow", batch_size=None
     )
 
@@ -809,7 +836,7 @@ def _cc_single_block(batch: pa.Table) -> pa.Table:
     )
 
 
-def connected_components(pairs_ds, num_partitions: int = 8, max_iters: int = 50,
+def connected_components(pairs_ds, max_iters: int = 50,
                          small_graph_rows: int = 2_000_000):
     """(doc_id, cluster_id) per node of the candidate-pair graph, where
     cluster_id = min doc_id reachable — the canonical-representative
@@ -872,10 +899,12 @@ def connected_components(pairs_ds, num_partitions: int = 8, max_iters: int = 50,
     # per-round join+groupby+materialize cycle (measured: each distributed
     # round costs ~1.5s of exchange setup at bench scale). The iterative
     # distributed path below remains the shape for web-scale graphs.
-    if edges.count() <= small_graph_rows:
+    n_edges = edges.count()
+    if n_edges <= small_graph_rows:
         return edges.repartition(1).map_batches(
             _cc_single_block, batch_format="pyarrow", batch_size=None
         )
+    num_partitions = exchange_partitions(n_edges)
 
     # round 0: label(n) = min(n, min direct neighbour)
     def with_self(batch: pa.Table) -> pa.Table:
@@ -1022,7 +1051,7 @@ def _passage_rows(batch: pa.Table, chunk: int, with_text: bool) -> pa.Table:
     return pa.Table.from_pydict(out)
 
 
-def passage_dedup(docs_ds, chunk: int = 20, num_partitions: int | None = None):
+def passage_dedup(docs_ds, chunk: int = 20):
     """Per-document repeated-passage statistics: split each doc's token
     stream into consecutive ``chunk``-token passages (last one shorter)
     and count, per doc, how many of its passages already occur earlier
@@ -1108,27 +1137,23 @@ def passage_dedup(docs_ds, chunk: int = 20, num_partitions: int | None = None):
             }
         )
 
-    from .sizing import approx_rows
-
     est_docs = approx_rows(docs_ds)
     passage_rows = (est_docs or 0) * PASSAGES_PER_DOC_EST or None
     parts = _hash_parts(
         docs_ds.map_batches(passages, batch_format="pyarrow"),
         ["h"],
-        num_partitions,
         approx_rows=passage_rows,
     ).map_batches(owner_counts, batch_format="pyarrow", batch_size=None)
     # second skinny exchange co-locates each doc's per-block partials; the
     # combine is one vectorized bincount per block (a Ray groupby here
     # would spawn a second, default-sized aggregator pool on top of the
     # HASH_SHUFFLE pools above and can deadlock a small cluster)
-    return _hash_parts(parts, ["doc_id"], num_partitions).map_batches(
+    return _hash_parts(parts, ["doc_id"]).map_batches(
         finalize, batch_format="pyarrow", batch_size=None
     )
 
 
-def source_overlap(docs_ds, prefix_tokens: int = 5,
-                   num_partitions: int | None = None):
+def source_overlap(docs_ds, prefix_tokens: int = 5):
     """Cross-source duplication matrix -> (src_a, src_b, n_pairs): for
     every unordered source pair, how many document pairs share the same
     leading-``prefix_tokens`` fingerprint — the contamination diagnostic
@@ -1198,7 +1223,6 @@ def source_overlap(docs_ds, prefix_tokens: int = 5,
     parts = _hash_parts(
         docs_ds.map_batches(fp_batch, batch_format="pyarrow"),
         ["fp"],
-        num_partitions,
     ).map_batches(block_counts, batch_format="pyarrow", batch_size=None)
     # The partials are source-pair-sized (<= n_sources^2 rows per block), so
     # materializing to drop the hash shuffle's zero-column empty blocks is
@@ -1230,8 +1254,7 @@ def source_overlap(docs_ds, prefix_tokens: int = 5,
 
 
 def incremental_dedup(new_docs_ds, known_docs_ds, path: str | None = None,
-                      broadcast_threshold: int = 2_000_000,
-                      num_partitions: int | None = None):
+                      broadcast_threshold: int = 2_000_000):
     """Dedup a NEW document batch against a prior corpus snapshot ->
     (doc_id, fp): the continuously-updated-corpus shape, where each
     ingest run must drop documents already present in earlier runs as
@@ -1252,7 +1275,6 @@ def incremental_dedup(new_docs_ds, known_docs_ds, path: str | None = None,
 
     from .analysis import fingerprint_batch
     from .relational import broadcast_semi_anti_join
-    from .sizing import approx_rows, configure_hash_shuffle, exchange_partitions
 
     known_fps = known_docs_ds.map_batches(
         fingerprint_batch, batch_format="pyarrow"
@@ -1271,13 +1293,14 @@ def incremental_dedup(new_docs_ds, known_docs_ds, path: str | None = None,
             anti=True,
         )
     else:
-        if num_partitions is None:
-            num_partitions = exchange_partitions(approx_rows(known_docs_ds))
-        # pin the join aggregator pool's CPU claim (fixed total budget /
-        # partitions) — without this Ray's min(1, CPU/2/partitions)
-        # heuristic can claim ~half the cluster and contend with
-        # neighbouring actor pools (the CLAUDE.md resource-fit invariant)
-        new_fps = configure_hash_shuffle(new_fps, num_partitions, 4.0)
+        num_partitions = exchange_partitions(approx_rows(known_docs_ds))
+        # the join runs on the plan's own context with the fixed
+        # hash-shuffle and aggregate claims (budget / partitions), which the
+        # groupby below inherits; the join aggregators keep Ray's default
+        # claim
+        new_fps = configure_hash_shuffle(
+            new_fps, num_partitions, AGGREGATOR_CPU_BUDGET
+        )
         fresh = new_fps.join(
             known_fps.select_columns(["fp"]),
             join_type="left_anti",
@@ -1345,8 +1368,7 @@ def dedup_rate_by_source(docs_ds):
     return agg.map_batches(finalize, batch_format="pyarrow")
 
 
-def drop_dup_passages(docs_ds, chunk: int = 20, num_partitions: int | None = None,
-                      path: str | None = None,
+def drop_dup_passages(docs_ds, chunk: int = 20, path: str | None = None,
                       broadcast_threshold: int = 2_000_000):
     """Corpus-wide repeated-passage REMOVAL -> (doc_id, n_kept, n_dropped,
     text): rewrite each document keeping only passages whose first corpus
@@ -1394,7 +1416,6 @@ def drop_dup_passages(docs_ds, chunk: int = 20, num_partitions: int | None = Non
         _hash_parts(
             docs_ds.map_batches(skinny, batch_format="pyarrow"),
             ["h"],
-            num_partitions,
         )
         .map_batches(dup_keys, batch_format="pyarrow", batch_size=None)
         .materialize()
@@ -1402,7 +1423,7 @@ def drop_dup_passages(docs_ds, chunk: int = 20, num_partitions: int | None = Non
     if path is None:
         path = "join" if drops.count() > broadcast_threshold else "broadcast"
     if path == "join":
-        return _drop_dup_passages_join(docs_ds, drops, chunk, num_partitions)
+        return _drop_dup_passages_join(docs_ds, drops, chunk)
     # keys left the h-hash exchange already globally unique — pull the
     # column (np.unique = defensive sort+dedup), skip Dataset.unique's
     # second all-to-all
@@ -1450,8 +1471,7 @@ def drop_dup_passages(docs_ds, chunk: int = 20, num_partitions: int | None = Non
     return docs_ds.map_batches(rebuild, batch_format="pyarrow")
 
 
-def _drop_dup_passages_join(docs_ds, drops, chunk: int,
-                            num_partitions: int | None):
+def _drop_dup_passages_join(docs_ds, drops, chunk: int):
     """The no-broadcast twin of :func:`drop_dup_passages`: passages
     left-outer join the drop-key list (key-hash co-partitioned), then one
     doc_id-keyed exchange rebuilds every document per block. Value-
@@ -1464,25 +1484,21 @@ def _drop_dup_passages_join(docs_ds, drops, chunk: int,
             pa.int64(),
         )
 
-    return _scrub_passages_join(docs_ds, drops, chunk, num_partitions,
-                                owner_key)
+    return _scrub_passages_join(docs_ds, drops, chunk, owner_key)
 
 
-def _scrub_passages_join(docs_ds, drops, chunk: int,
-                         num_partitions: int | None, keyer):
+def _scrub_passages_join(docs_ds, drops, chunk: int, keyer):
     """Shared no-broadcast scrub: passages (keyed by ``keyer(p)`` — the
     owner key for :func:`drop_dup_passages`, the line hash for
     :func:`drop_frequent_lines`) left-outer join the drop-key list
     (key-hash co-partitioned), then one doc_id-keyed exchange rebuilds
     every document per block. ``drops`` must carry a matching ``key``
     column. Value-identical to the broadcast paths (pinned by tests)."""
-    from .sizing import approx_rows, exchange_partitions
     from .windows import _hash_parts
 
-    if num_partitions is None:
-        # the join carries EXPLODED rows, not documents — size accordingly
-        est = approx_rows(docs_ds)
-        num_partitions = exchange_partitions(est * PASSAGES_PER_DOC_EST if est else None)
+    # the join carries EXPLODED rows, not documents — size accordingly
+    est = approx_rows(docs_ds)
+    num_partitions = exchange_partitions(est * PASSAGES_PER_DOC_EST if est else None)
 
     def keyed_passages(batch: pa.Table) -> pa.Table:
         p = _passage_rows(batch, chunk, with_text=True)
@@ -1561,7 +1577,6 @@ def _scrub_passages_join(docs_ds, drops, chunk: int,
 
 
 def drop_frequent_lines(docs_ds, chunk: int = 5, min_count: int = 3,
-                        num_partitions: int | None = None,
                         path: str | None = None,
                         broadcast_threshold: int = 2_000_000):
     """CCNet-style boilerplate-line removal -> (doc_id, n_kept, n_dropped,
@@ -1624,14 +1639,11 @@ def drop_frequent_lines(docs_ds, chunk: int = 5, min_count: int = 3,
             {"key": denc.dictionary.filter(pa.array(tot >= min_count))}
         )
 
-    from .sizing import approx_rows
-
     est_docs = approx_rows(docs_ds)
     drops = (
         _hash_parts(
             docs_ds.map_batches(skinny_counts, batch_format="pyarrow"),
             ["h"],
-            num_partitions,
             approx_rows=(est_docs or 0) * LINES_PER_DOC_EST or None,
         )
         .map_batches(frequent, batch_format="pyarrow", batch_size=None)
@@ -1641,8 +1653,7 @@ def drop_frequent_lines(docs_ds, chunk: int = 5, min_count: int = 3,
         path = "join" if drops.count() > broadcast_threshold else "broadcast"
     if path == "join":
         return _scrub_passages_join(
-            docs_ds, drops, chunk, num_partitions,
-            lambda p: p["h"].combine_chunks(),
+            docs_ds, drops, chunk, lambda p: p["h"].combine_chunks(),
         )
     # frequent-line hashes are unique per h-partition post-exchange: pull
     # directly, no second Dataset.unique shuffle
@@ -1768,8 +1779,7 @@ def _span_cover_counts(doc_row: np.ndarray, s: np.ndarray, is_dup: np.ndarray,
     return out
 
 
-def dup_span_stats(docs_ds, n: int = 8, num_partitions: int | None = None,
-                   path: str | None = None,
+def dup_span_stats(docs_ds, n: int = 8, path: str | None = None,
                    broadcast_threshold: int = 5_000_000):
     """Exact-substring duplication statistics (the suffix-array dedup of
     Lee et al. 2021, re-expressed as rolling-gram exchanges) ->
@@ -1829,14 +1839,11 @@ def dup_span_stats(docs_ds, n: int = 8, num_partitions: int | None = None,
         uk = ks[np.concatenate(([True], ks[1:] != ks[:-1]))]
         return pa.Table.from_pydict({"key": pa.array(uk[tot >= 2], pa.int64())})
 
-    from .sizing import approx_rows
-
     est_docs = approx_rows(docs_ds)
     dups = (
         _hash_parts(
             docs_ds.map_batches(skinny_counts, batch_format="pyarrow"),
             ["key"],
-            num_partitions,
             approx_rows=(est_docs or 0) * GRAMS_PER_DOC_EST or None,
         )
         .map_batches(dup_keys, batch_format="pyarrow", batch_size=None)
@@ -1845,7 +1852,7 @@ def dup_span_stats(docs_ds, n: int = 8, num_partitions: int | None = None,
     if path is None:
         path = "join" if dups.count() > broadcast_threshold else "broadcast"
     if path == "join":
-        return _dup_span_stats_join(docs_ds, dups, n, num_partitions)
+        return _dup_span_stats_join(docs_ds, dups, n)
     # gram keys are unique per key-partition post-exchange: pull directly,
     # no second Dataset.unique shuffle
     from .functions.tables import pull_column_numpy
@@ -1881,20 +1888,17 @@ def dup_span_stats(docs_ds, n: int = 8, num_partitions: int | None = None,
     return docs_ds.map_batches(cover, batch_format="pyarrow")
 
 
-def _dup_span_stats_join(docs_ds, dups, n: int,
-                         num_partitions: int | None):
+def _dup_span_stats_join(docs_ds, dups, n: int):
     """The no-broadcast twin of :func:`dup_span_stats`: skinny gram rows
     (doc_id, s, nt, key) — plus one sentinel row per document so
     zero-gram docs survive — left-outer join the dup-key list, then one
     doc_id-keyed exchange computes interval-union coverage per block.
     Value-identical to the broadcast path (pinned by test)."""
-    from .sizing import approx_rows, exchange_partitions
     from .windows import _hash_parts
 
-    if num_partitions is None:
-        # the join carries EXPLODED rows, not documents — size accordingly
-        est = approx_rows(docs_ds)
-        num_partitions = exchange_partitions(est * GRAMS_PER_DOC_EST if est else None)
+    # the join carries EXPLODED rows, not documents — size accordingly
+    est = approx_rows(docs_ds)
+    num_partitions = exchange_partitions(est * GRAMS_PER_DOC_EST if est else None)
 
     def gram_rows(batch: pa.Table) -> pa.Table:
         doc_row, s, key, tok_counts = _gram_keys(batch, n)
@@ -1989,7 +1993,7 @@ def _dup_span_stats_join(docs_ds, dups, n: int,
     )
 
 
-def diff_snapshots(old_docs_ds, new_docs_ds, num_partitions: int = 8):
+def diff_snapshots(old_docs_ds, new_docs_ds):
     """Corpus snapshot diff -> (doc_id, status): 'added' (only in new),
     'removed' (only in old), 'changed' (present in both, normalized-text
     fingerprint differs) — the audit step between two versions of a
@@ -2005,10 +2009,12 @@ def diff_snapshots(old_docs_ds, new_docs_ds, num_partitions: int = 8):
     def rename_new(batch: pa.Table) -> pa.Table:
         return batch.rename_columns(["nid", "nfp"])
 
+    # the full-outer join carries both snapshots' rows
+    sides = [approx_rows(old_docs_ds), approx_rows(new_docs_ds)]
     joined = fps(old_docs_ds).join(
         fps(new_docs_ds).map_batches(rename_new, batch_format="pyarrow"),
         join_type="full_outer",
-        num_partitions=num_partitions,
+        num_partitions=exchange_partitions(None if None in sides else sum(sides)),
         on=("doc_id",),
         right_on=("nid",),
     )
@@ -2062,8 +2068,8 @@ def _pagerank_single_block(batch: pa.Table, iters: int, damping: float) -> pa.Ta
     )
 
 
-def pagerank(pairs_ds, num_partitions: int = 8, iters: int = 3,
-             damping: float = 0.85, small_graph_rows: int = 2_000_000):
+def pagerank(pairs_ds, iters: int = 3, damping: float = 0.85,
+             small_graph_rows: int = 2_000_000):
     """PageRank over the undirected candidate-pair graph — centrality
     ranking of near-dup neighbourhoods. The highest-rank member of a
     cluster is its most-connected document: an alternative canonical-
@@ -2109,11 +2115,13 @@ def pagerank(pairs_ds, num_partitions: int = 8, iters: int = 3,
             )
         )
 
-    if edges.count() <= small_graph_rows:
+    n_edges = edges.count()
+    if n_edges <= small_graph_rows:
         return edges.repartition(1).map_batches(
             lambda b: _pagerank_single_block(b, iters, damping),
             batch_format="pyarrow", batch_size=None,
         )
+    num_partitions = exchange_partitions(n_edges)
 
     # weighted edge list (src, dst, w = 1/deg(src)), built once
     def block_deg(batch: pa.Table) -> pa.Table:
@@ -2214,7 +2222,7 @@ _KEEP_BEST_SCHEMA = pa.schema(
 )
 
 
-def dedup_keep_best(docs_ds, num_partitions: int | None = None):
+def dedup_keep_best(docs_ds):
     """Exact dedup keeping the BEST representative per duplicate group ->
     (doc_id, n_chars, n_copies): for each distinct normalized-text
     fingerprint, the surviving row is the longest copy (max ``n_chars``,
@@ -2256,7 +2264,7 @@ def dedup_keep_best(docs_ds, num_partitions: int | None = None):
         )
 
     skinny = docs_ds.map_batches(fp_partial, batch_format="pyarrow")
-    return _hash_parts(skinny, ["fp"], num_partitions).map_batches(
+    return _hash_parts(skinny, ["fp"]).map_batches(
         best_block, batch_format="pyarrow", batch_size=None,
         zero_copy_batch=True,
     )
@@ -2367,7 +2375,7 @@ def _hash_embed_rotation(dim: int) -> np.ndarray:
 
 def semdedup_pairs(
     docs_ds, threshold: float = 0.9, dim: int = 64, n_planes: int = 16,
-    n_bands: int = 2, num_partitions: int | None = None,
+    n_bands: int = 2,
 ):
     """SemDeDup-shaped semantic near-dup pairs over the TEXT corpus ->
     (vec_a, vec_b, cosine): documents featurize to hashed bag-of-words
@@ -2384,8 +2392,7 @@ def semdedup_pairs(
         hash_embed_batch, batch_format="pyarrow", fn_kwargs={"dim": dim}
     )
     return embedding_dup_pairs(
-        emb, threshold=threshold, n_planes=n_planes, n_bands=n_bands,
-        num_partitions=num_partitions,
+        emb, threshold=threshold, n_planes=n_planes, n_bands=n_bands
     )
 
 
@@ -2405,7 +2412,6 @@ def _duck():
 
 def neardup_edit_stats(
     docs_ds, num_hashes: int = 4, band_size: int = 2, k: int = 3,
-    num_partitions: int = 8,
 ):
     """Edit-distance verification of LSH candidate pairs -> (doc_a,
     doc_b, edit_dist, edit_sim): Levenshtein distance and normalized
@@ -2432,40 +2438,9 @@ def neardup_edit_stats(
 
     import ray.data
 
-    # hash-shuffled pair output can hold zero-COLUMN empty blocks that
-    # crash a downstream keyed join ("no match for key field") — rebuild
-    # from the non-empty block refs first (see _nonempty)
-    pairs = _nonempty(
-        lsh_candidate_pairs(
-            docs_ds, num_hashes=num_hashes, band_size=band_size, k=k,
-            num_partitions=num_partitions,
-        )
-    )
-    if pairs is None:
+    j = _candidate_texts(docs_ds, num_hashes, band_size, k)
+    if j is None:
         return ray.data.from_arrow(empty)
-
-    def as_a(batch: pa.Table) -> pa.Table:
-        return pa.Table.from_arrays(
-            [batch["doc_id"], batch["text"]], names=["doc_a", "text_a"]
-        )
-
-    def as_b(batch: pa.Table) -> pa.Table:
-        return pa.Table.from_arrays(
-            [batch["doc_id"], batch["text"]], names=["doc_b", "text_b"]
-        )
-
-    from .sizing import configure_hash_shuffle
-
-    # pin the two id-keyed join aggregator pools' CPU claim (same fixed
-    # budget as shipping_revenue) so they never contend with neighbours
-    pairs = configure_hash_shuffle(pairs, num_partitions, 4.0)
-    j = pairs.join(
-        docs_ds.map_batches(as_a, batch_format="pyarrow"),
-        join_type="inner", num_partitions=num_partitions, on=("doc_a",),
-    ).join(
-        docs_ds.map_batches(as_b, batch_format="pyarrow"),
-        join_type="inner", num_partitions=num_partitions, on=("doc_b",),
-    )
 
     def verify(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:

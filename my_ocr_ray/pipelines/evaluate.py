@@ -302,7 +302,7 @@ def _ner_partial(batch: pa.Table) -> pa.Table:
     )
 
 
-def ner_f1_eval(gt_ds, pred_ds, num_partitions: int | None = None):
+def ner_f1_eval(gt_ds, pred_ds):
     """Entity-level NER precision/recall/F1 as a Ray Data pipeline.
 
     Inputs: two Datasets of flat entity rows ``(doc_id:int64,
@@ -374,7 +374,7 @@ def ner_f1_eval(gt_ds, pred_ds, num_partitions: int | None = None):
         )
 
     return (
-        _hash_parts(combined, ["doc_id"], num_partitions)
+        _hash_parts(combined, ["doc_id"])
         .map_batches(_ner_partial, batch_format="pyarrow", batch_size=None)
         .repartition(1)
         .map_batches(final, batch_format="pyarrow", batch_size=None)

@@ -259,7 +259,7 @@ def _mix64(x: np.ndarray) -> np.ndarray:
 
 def shipping_revenue(
     lineitem_ds, orders_ds, cust_keys: np.ndarray, cutoff_us: int,
-    topn: int = 10, join_num_partitions: int | None = None,
+    topn: int = 10,
 ):
     """TPC-H-Q3-shaped three-table join -> (l_orderkey, o_orderdate_s,
     revenue): top-``topn`` unshipped-revenue orders for one customer
@@ -288,13 +288,19 @@ def shipping_revenue(
     skinny qualifying-orders table is materialized once and reused by the
     Bloom build and the join (one orders scan, not two). Join partition
     count is data-scaled from the probe side with the engine-wide rule,
-    and the join aggregator pool's CPU claim is pinned by the same fixed
-    budget ``_hash_parts`` uses, so growing partitions never starve
-    neighbouring stages. Output dates are epoch seconds (int64)."""
+    and the plan's hash-shuffle and aggregate claims (the groupby after
+    the join) share the fixed budget ``_hash_parts`` uses, so growing
+    partitions never starve neighbouring stages. Output dates are epoch
+    seconds (int64)."""
     import ray
 
     from .functions.num import round_away
-    from .sizing import approx_rows, configure_hash_shuffle, exchange_partitions
+    from .sizing import (
+        AGGREGATOR_CPU_BUDGET,
+        approx_rows,
+        configure_hash_shuffle,
+        exchange_partitions,
+    )
 
     ck_ref = ray.put(np.sort(np.asarray(cust_keys, dtype=np.int64)))
 
@@ -386,18 +392,19 @@ def shipping_revenue(
         )
 
     li = lineitem_ds.map_batches(li_partial, batch_format="pyarrow")
-    if join_num_partitions is None:
-        # data-scaled join partitions (the engine-wide sizing rule):
-        # grow with the PROBE side's source rows, floor at 8
-        join_num_partitions = exchange_partitions(approx_rows(lineitem_ds))
-    # pin the join aggregator pool's total CPU claim exactly as
-    # _hash_parts does for keyed exchanges — at the partition cap an
-    # unbudgeted pool (0.25 CPU x 128 partitions) would claim every core
-    li = configure_hash_shuffle(li, join_num_partitions, 4.0)
+    # data-scaled join partitions (the engine-wide sizing rule): grow with
+    # the PROBE side's source rows
+    num_partitions = exchange_partitions(approx_rows(lineitem_ds))
+    # the plan's own context, with the hash-shuffle and aggregate claims
+    # pinned to the fixed budget exactly as _hash_parts does for keyed
+    # exchanges (at the partition cap an unbudgeted groupby pool, 0.25 CPU
+    # x 128 partitions, would claim every core); the join aggregators keep
+    # Ray's default claim
+    li = configure_hash_shuffle(li, num_partitions, AGGREGATOR_CPU_BUDGET)
     joined = li.join(
         orders_q,
         join_type="inner",
-        num_partitions=join_num_partitions,
+        num_partitions=num_partitions,
         on=("l_orderkey",),
         right_on=("o_orderkey",),
     )

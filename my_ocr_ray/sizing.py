@@ -15,6 +15,11 @@ constant has one home instead of a copy per call site.
 - :func:`configure_hash_shuffle` — a plan's own DataContext, set to the
   hash-shuffle backend with a fixed total aggregator CPU claim.
 
+The battery operators take no sizing arguments: each exchange or join
+sizes itself with :func:`exchange_partitions` from its own row estimate
+(:func:`approx_rows`, times the operator's row-expansion constant where
+it has one) and claims :data:`AGGREGATOR_CPU_BUDGET`.
+
 Partitions follow CPUs, aggregator processes follow rows. The partition
 count of an exchange is floored by the cluster (it sets how many blocks the
 work after the exchange runs on); the number of aggregator actors that
@@ -50,6 +55,11 @@ ROWS_PER_HASH_PARTITION = 2_000_000
 # largest aggregator CPU claim per hash partition (Ray's own default is up
 # to 1 CPU per partition, which lets a large exchange claim half a cluster)
 MAX_CPUS_PER_PARTITION = 0.25
+
+# total aggregator CPU claim of one battery exchange or join (windows,
+# dedup, corpus, relational, ann, evaluate); configure_hash_shuffle divides
+# it across the partitions, so the claim stays put as partitions grow
+AGGREGATOR_CPU_BUDGET = 4.0
 
 
 def cluster_cpus() -> int:

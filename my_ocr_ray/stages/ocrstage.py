@@ -76,6 +76,14 @@ def _hash_ref_strings(arr: "pa.ChunkedArray | pa.Array", width: int) -> np.ndarr
     return h
 
 
+def _single_array(col: pa.ChunkedArray) -> pa.Array:
+    """The column as one array: its only chunk as is (still backed by the
+    plasma buffer it was resolved from), else the chunks combined.
+    ``combine_chunks`` copies even a single chunk, which would duplicate
+    the whole broadcast media table in every process that resolves it."""
+    return col.chunk(0) if col.num_chunks == 1 else col.combine_chunks()
+
+
 class _MediaTableLookup:
     """media_ref -> bytes over a broadcast Arrow table (zero-copy payloads).
 
@@ -96,8 +104,8 @@ class _MediaTableLookup:
         self._sorted = sorted_refs
         self._row = rows
         self._width = width  # None => string index (collision fallback)
-        self._refs = tbl["media_ref"].combine_chunks()
-        self._bytes = tbl["bytes"].combine_chunks()
+        self._refs = _single_array(tbl["media_ref"])
+        self._bytes = _single_array(tbl["bytes"])
 
     @classmethod
     def precompute(cls, tbl: pa.Table) -> dict:
@@ -291,9 +299,8 @@ class OCRStage:
             raise ValueError(f"on_error must be raise|skip, got {on_error}")
         # "skip" mirrors the reference's broken-sample skip-and-advance loop
         # (mmocr/datasets/base_dataset.py:128-147): a failing media span is
-        # dropped (the doc still reassembles without it) and counted.
+        # dropped (the doc still reassembles without it).
         self.on_error = on_error
-        self.errors = 0
         # pdf-span reduction state (north star: PDF layout parsing inside
         # the flagship): decoder built once per actor like the glyph state
         from ..sources.pdf import PdfDecoder
@@ -311,7 +318,7 @@ class OCRStage:
         if media_idx.size == 0 and pdf_idx.size == 0:
             return _project_span_rows(batch)
         # pdf spans: decode -> reading-ordered text (failures follow the
-        # same skip-and-count policy as media)
+        # same skip policy as media)
         pdf_texts, pdf_failed = decode_pdf_spans(
             span_bytes(batch, pdf_idx, self.media, self.on_error),
             self.pdf_decoder, self.on_error,
@@ -319,7 +326,6 @@ class OCRStage:
         ocr_texts, failed = self._recognize(
             span_bytes(batch, media_idx, self.media, self.on_error)
         ) if media_idx.size else ([], set())
-        self.errors += len(failed) + len(pdf_failed)
         return _fill_texts(
             batch, np.concatenate([media_idx, pdf_idx]), ocr_texts + pdf_texts,
             failed | {media_idx.size + slot for slot in pdf_failed},

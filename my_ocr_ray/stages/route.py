@@ -60,15 +60,3 @@ def explode_spans(batch: pa.Table, with_sentinel: bool = False) -> pa.Table:
         )
         out = pa.concat_tables([out, sent])
     return out
-
-
-def text_media_masks(batch: pa.Table) -> tuple[pa.Array, pa.Array]:
-    kind = batch["kind"]
-    is_text = pc.equal(kind, "text")
-    return is_text, pc.invert(is_text)
-
-
-def filter_kind(batch: pa.Table, kind: str) -> pa.Table:
-    """Vectorized kind filter (used for branched pipelines; the fused stage
-    avoids the double-scan)."""
-    return batch.filter(pc.equal(batch["kind"], kind))

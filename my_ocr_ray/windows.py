@@ -123,7 +123,6 @@ def _sessions_for_group(group: pa.Table, gap_sec: int) -> pa.Table:
 
 
 def _hash_parts(ds, keys, num_partitions: int | None = None,
-                aggregator_cpu_budget: float = 4.0,
                 approx_rows: int | None = None):
     """Hash-repartition by key (co-locates each key in ONE block) so the
     multi-key vectorized kernels run once per block via ``map_batches``
@@ -134,10 +133,13 @@ def _hash_parts(ds, keys, num_partitions: int | None = None,
     Partition count is DATA-SCALED (``sizing.exchange_partitions``:
     estimated input rows / 2M, floored at min(8, cpus) and capped at 4x
     CPUs) — so the same call that runs 8 partitions at bench scale plans
-    hundreds at 100 TB. ``sizing.configure_hash_shuffle``
-    pins the aggregator pool's total CPU claim to
-    max(``aggregator_cpu_budget``, 0.02 x partitions), so growing data
-    never starves neighbouring actor pools."""
+    hundreds at 100 TB. ``approx_rows`` overrides the estimate
+    (``sizing.approx_rows(ds)``) when the caller knows its rows expand;
+    ``num_partitions`` lets an operator reuse the count it already chose
+    for its own join, so both of its exchanges agree.
+    ``sizing.configure_hash_shuffle`` pins the aggregator pool's total CPU
+    claim to max(``sizing.AGGREGATOR_CPU_BUDGET``, 0.02 x partitions), so
+    growing data never starves neighbouring actor pools."""
     if num_partitions is None:
         rows = approx_rows if approx_rows is not None else sizing.approx_rows(ds)
         num_partitions = sizing.exchange_partitions(rows)
@@ -146,7 +148,9 @@ def _hash_parts(ds, keys, num_partitions: int | None = None,
         )
         if len(SIZING_LOG) > 4096:  # bounded: diagnostics, not a ledger
             del SIZING_LOG[:2048]
-    ds = sizing.configure_hash_shuffle(ds, num_partitions, aggregator_cpu_budget)
+    ds = sizing.configure_hash_shuffle(
+        ds, num_partitions, sizing.AGGREGATOR_CPU_BUDGET
+    )
     return ds.repartition(num_blocks=num_partitions, keys=keys)
 
 
@@ -306,7 +310,7 @@ def sliding_window(events_ds, window_sec: int = 3600, slide_sec: int = 1800):
     )
 
 
-def interval_merge(events_ds, num_partitions: int | None = None):
+def interval_merge(events_ds):
     """Interval coalescing (gaps-and-islands): each event occupies
     ``[ts, ts + k seconds)`` with the integer ``k`` parsed from props
     (float-free, so the SQL twin is bit-exact); overlapping or touching
@@ -354,7 +358,7 @@ def interval_merge(events_ds, num_partitions: int | None = None):
         return _island_block(u, None, s, e, np.ones(len(u), dtype=np.int64))
 
     iv = events_ds.map_batches(to_intervals, batch_format="pyarrow")
-    return _hash_parts(iv, ["user_id"], num_partitions).map_batches(
+    return _hash_parts(iv, ["user_id"]).map_batches(
         islands, batch_format="pyarrow", batch_size=None
     )
 
@@ -402,8 +406,7 @@ def _island_block(u, salt, s, e, w) -> pa.Table:
     )
 
 
-def interval_merge_salted(events_ds, time_bucket_sec: int = 86_400,
-                          num_partitions: int | None = None):
+def interval_merge_salted(events_ds, time_bucket_sec: int = 86_400):
     """Hot-user-safe :func:`interval_merge`, result EXACTLY equal (same
     guarantee pattern as :func:`sessionize_salted`): phase 1 salts the
     exchange key with a coarse start-time bucket so a pathological user's
@@ -467,9 +470,8 @@ def interval_merge_salted(events_ds, time_bucket_sec: int = 86_400,
     partials = _hash_parts(
         events_ds.map_batches(to_salted, batch_format="pyarrow"),
         ["user_id", "bucket"],
-        num_partitions,
     ).map_batches(phase1, batch_format="pyarrow", batch_size=None)
-    return _hash_parts(partials, ["user_id"], num_partitions).map_batches(
+    return _hash_parts(partials, ["user_id"]).map_batches(
         phase2, batch_format="pyarrow", batch_size=None
     )
 
@@ -486,7 +488,7 @@ _LAG_SCHEMA = pa.schema(
 )
 
 
-def user_lag(events_ds, num_partitions: int | None = None):
+def user_lag(events_ds):
     """Row-window functions per user (LAG / LEAD / ROW_NUMBER) ->
     (event_id, user_id, row_idx, prev_gap_us, next_gap_us, value_delta).
 
@@ -549,7 +551,7 @@ def user_lag(events_ds, num_partitions: int | None = None):
             }
         )
 
-    return _hash_parts(events_ds, ["user_id"], num_partitions).map_batches(
+    return _hash_parts(events_ds, ["user_id"]).map_batches(
         lag_block, batch_format="pyarrow", batch_size=None, zero_copy_batch=True
     )
 
@@ -562,7 +564,7 @@ _RETENTION_SCHEMA = pa.schema(
 )
 
 
-def user_retention(events_ds, num_partitions: int | None = None):
+def user_retention(events_ds):
     """Cohort retention -> (cohort_day, offset_days, n_users): users are
     cohorted by the UTC day of their first event; each (cohort, day-offset)
     cell counts the distinct users from that cohort active that day — the
@@ -613,7 +615,7 @@ def user_retention(events_ds, num_partitions: int | None = None):
         )
 
     pairs = events_ds.map_batches(day_pairs, batch_format="pyarrow")
-    cells = _hash_parts(pairs, ["user_id"], num_partitions).map_batches(
+    cells = _hash_parts(pairs, ["user_id"]).map_batches(
         offsets_block, batch_format="pyarrow", batch_size=None,
         zero_copy_batch=True,
     )
@@ -641,7 +643,7 @@ _SEQ_SCHEMA = pa.schema(
 )
 
 
-def user_event_seq(events_ds, num_partitions: int | None = None):
+def user_event_seq(events_ds):
     """Per-user time-ordered event-type sequence -> (user_id, n_events,
     seq): event types joined by ',' in (ts, event_id) order — the
     collect-list/string_agg shape that turns an event log into per-entity
@@ -684,14 +686,13 @@ def user_event_seq(events_ds, num_partitions: int | None = None):
             }
         )
 
-    return _hash_parts(events_ds, ["user_id"], num_partitions).map_batches(
+    return _hash_parts(events_ds, ["user_id"]).map_batches(
         seq_block, batch_format="pyarrow", batch_size=None,
         zero_copy_batch=True,
     )
 
 
-def active_users(events_ds, window_days: int = 7,
-                 num_partitions: int | None = None):
+def active_users(events_ds, window_days: int = 7):
     """Daily + trailing-window active users -> (day, dau, wau): distinct
     users active each day, and distinct users active in the
     ``window_days`` window ENDING that day (the DAU/WAU pair). Output
@@ -756,7 +757,7 @@ def active_users(events_ds, window_days: int = 7,
         )
 
     pairs = events_ds.map_batches(day_pairs, batch_format="pyarrow")
-    partials = _hash_parts(pairs, ["user_id"], num_partitions).map_batches(
+    partials = _hash_parts(pairs, ["user_id"]).map_batches(
         window_partials, batch_format="pyarrow", batch_size=None,
         zero_copy_batch=True,
     )

@@ -81,7 +81,7 @@ def test_split_leakage_flags_cross_split_dups_only(ray_session):
         {"doc_id": pa.array(ids, pa.int64()), "text": pa.array(texts, pa.string())}
     )
     out = split_leakage(
-        ray.data.from_arrow(t).repartition(3), thr=0.5, num_partitions=2
+        ray.data.from_arrow(t).repartition(3), thr=0.5
     ).take_all()
     pairs = {(r["doc_a"], r["doc_b"]): (r["split_a"], r["split_b"], r["jaccard"])
              for r in out}
@@ -106,7 +106,7 @@ def test_winnow_pairs_locality_guarantee(ray_session, doc_table):
     from my_ocr_ray.dedup import winnow_fingerprints, winnow_pairs
 
     pairs = winnow_pairs(
-        ray.data.from_arrow(doc_table), k=5, w=4, num_partitions=2
+        ray.data.from_arrow(doc_table), k=5, w=4
     ).take_all()
     pairset = {(r["doc_a"], r["doc_b"]) for r in pairs}
     assert (0, 100) in pairset           # exact dup
@@ -151,12 +151,10 @@ def test_winnow_hot_fingerprint_guard(ray_session):
     )
     ds = ray.data.from_arrow(t).repartition(2)
     with pytest.raises((ValueError, Exception)) as ei:
-        winnow_pairs(ds, k=5, w=4, num_partitions=2,
-                     max_bucket_rows=10).take_all()
+        winnow_pairs(ds, k=5, w=4, max_bucket_rows=10).take_all()
     assert "max_bucket_rows" in str(ei.value)
     # same data passes with an adequate bound and yields all-pairs of 40
-    out = winnow_pairs(ds, k=5, w=4, num_partitions=2,
-                       max_bucket_rows=1000).take_all()
+    out = winnow_pairs(ds, k=5, w=4, max_bucket_rows=1000).take_all()
     assert len(out) == 40 * 39 // 2
 
 
@@ -776,7 +774,6 @@ def test_diff_snapshots_classifies_three_statuses(ray_session):
     out = diff_snapshots(
         ray.data.from_arrow(old).repartition(2),
         ray.data.from_arrow(new).repartition(2),
-        num_partitions=2,
     ).take_all()
     got = {r["doc_id"]: r["status"] for r in out}
     assert got == {1: "removed", 3: "changed", 4: "added"}  # 2 unchanged
@@ -815,7 +812,7 @@ def test_pagerank_hand_values_and_path_equality(ray_session):
     fast = {r["doc_id"]: r["rank"]
             for r in pagerank(pairs_ds(edges), iters=3).take_all()}
     dist = {r["doc_id"]: r["rank"]
-            for r in pagerank(pairs_ds(edges), iters=3, num_partitions=2,
+            for r in pagerank(pairs_ds(edges), iters=3,
                               small_graph_rows=0).take_all()}
     assert set(fast) == set(dist)
     assert all(abs(fast[k] - dist[k]) < 1e-9 for k in fast)
@@ -1264,7 +1261,6 @@ def test_semdedup_finds_exact_and_near_dups(ray_session):
     )
     out = semdedup_pairs(
         ray.data.from_arrow(t).repartition(3), threshold=0.9,
-        num_partitions=2,
     ).take_all()
     pairs = {(r["vec_a"], r["vec_b"]): r["cosine"] for r in out}
     assert pairs[(0, 1)] == 1.0          # exact dup
@@ -1326,7 +1322,7 @@ def test_neardup_edit_stats(ray_session):
         }
     )
     out = neardup_edit_stats(
-        ray.data.from_arrow(t).repartition(2), num_partitions=2
+        ray.data.from_arrow(t).repartition(2)
     ).take_all()
     got = {(r["doc_a"], r["doc_b"]): (r["edit_dist"], r["edit_sim"]) for r in out}
     assert got[(1, 2)] == (0, 1.0)

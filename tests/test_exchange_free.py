@@ -15,6 +15,7 @@ from my_ocr_ray.stages.ocrstage import (
     OCRStage,
     _MediaTableLookup,
     parse_documents,
+    resolve_media_lookup,
 )
 from my_ocr_ray.synth import corpus_tables
 
@@ -173,6 +174,32 @@ def test_parse_resolves_every_lookup_form(ray_session, corpus, form):
     ref = ray_session.put(payload)
     out = parse_documents(DocOCRStage(media_lookup_ref=ref)(docs), media_lookup_ref=ref)
     assert _got_map(out.to_pylist()) == _expected_map(expected)
+
+
+def test_media_lookup_shares_the_object_store_buffers(ray_session, corpus):
+    """A task that resolves the precomputed payload indexes the table's own
+    object-store buffers: no process copies the media table."""
+    _, media, _ = corpus
+    table = media.select(["media_ref", "bytes"]).combine_chunks()
+    ref = ray_session.put(_MediaTableLookup.precompute(table))
+
+    @ray_session.remote
+    def buffer_addresses(boxed):
+        payload = ray_session.get(boxed[0])
+        lookup = resolve_media_lookup(payload)
+        stored = payload["table"]
+        return [
+            [b.address for b in arr.buffers() if b is not None]
+            for arr in (
+                lookup._refs, lookup._bytes,
+                stored["media_ref"].chunk(0), stored["bytes"].chunk(0),
+            )
+        ]
+
+    refs, data, stored_refs, stored_data = ray_session.get(
+        buffer_addresses.remote([ref])
+    )
+    assert (refs, data) == (stored_refs, stored_data)
 
 
 def test_corrupt_pdf_spans(ray_session, corpus):

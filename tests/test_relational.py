@@ -235,7 +235,7 @@ def test_interval_merge_islands(ray_session):
         }
     )
     out = interval_merge(
-        ray.data.from_arrow(t).repartition(2), num_partitions=2
+        ray.data.from_arrow(t).repartition(2)
     ).take_all()
     got = {(r["user_id"], r["island"]): (r["start_us"], r["end_us"], r["n_events"])
            for r in out}
@@ -276,11 +276,11 @@ def test_interval_merge_salted_equals_plain(ray_session):
     )
     ds = ray.data.from_arrow(t).repartition(3)
     plain = sorted(
-        interval_merge(ds, num_partitions=2).take_all(),
+        interval_merge(ds).take_all(),
         key=lambda r: (r["user_id"], r["island"]),
     )
     salted = sorted(
-        interval_merge_salted(ds, time_bucket_sec=300, num_partitions=2).take_all(),
+        interval_merge_salted(ds, time_bucket_sec=300).take_all(),
         key=lambda r: (r["user_id"], r["island"]),
     )
     assert plain == salted
@@ -315,7 +315,7 @@ def test_user_lag_hand_values(ray_session):
             "value": pa.array([r[3] for r in rows], pa.float64()),
         }
     )
-    out = user_lag(ray.data.from_arrow(t).repartition(2), num_partitions=2)
+    out = user_lag(ray.data.from_arrow(t).repartition(2))
     got = {
         r["event_id"]: (
             r["row_idx"], r["prev_gap_us"], r["next_gap_us"], r["value_delta"]
@@ -367,7 +367,7 @@ def test_dedup_keep_best_hand_values(ray_session):
         }
     )
     out = dedup_keep_best(
-        ray.data.from_arrow(t).repartition(2), num_partitions=2
+        ray.data.from_arrow(t).repartition(2)
     ).take_all()
     got = {r["doc_id"]: (r["n_chars"], r["n_copies"]) for r in out}
     # "a  b" normalizes to "a b": doc 1 is the longest of the 3 copies;
@@ -395,7 +395,7 @@ def test_user_retention_hand_values(ray_session):
         }
     )
     out = user_retention(
-        ray.data.from_arrow(t).repartition(3), num_partitions=2
+        ray.data.from_arrow(t).repartition(3)
     ).take_all()
     d0 = int(base.timestamp()) // day
     got = {(r["cohort_day"], r["offset_days"]): r["n_users"] for r in out}
@@ -469,7 +469,6 @@ def test_shipping_revenue_hand_values(ray_session):
         cust_keys=np.array([10]),
         cutoff_us=cutoff_us,
         topn=10,
-        join_num_partitions=2,
     ).take_all()
     got = [(r["l_orderkey"], r["o_orderdate_s"], r["revenue"]) for r in out]
     b = int(before.replace(tzinfo=dt.timezone.utc).timestamp())
@@ -561,7 +560,7 @@ def test_event_window_ops_random_equivalence(ray_session):
         r["event_id"]: (
             r["row_idx"], r["prev_gap_us"], r["next_gap_us"], r["value_delta"]
         )
-        for r in user_lag(ds, num_partitions=3).take_all()
+        for r in user_lag(ds).take_all()
     }
     for eid in range(n):
         assert got[eid] == expect[eid], eid
@@ -578,7 +577,7 @@ def test_event_window_ops_random_equivalence(ray_session):
         exp_ret[key] = exp_ret.get(key, 0) + 1
     got_ret = {
         (r["cohort_day"], r["offset_days"]): r["n_users"]
-        for r in user_retention(ds, num_partitions=3).take_all()
+        for r in user_retention(ds).take_all()
     }
     assert got_ret == exp_ret
 
@@ -595,7 +594,7 @@ def test_event_window_ops_random_equivalence(ray_session):
             exp_au[e] = (len(by_day.get(e, set())), len(wau))
     got_au = {
         r["day"]: (r["dau"], r["wau"])
-        for r in active_users(ds, num_partitions=3).take_all()
+        for r in active_users(ds).take_all()
     }
     assert got_au == exp_au
 
@@ -626,6 +625,5 @@ def test_shipping_revenue_empty_customers(ray_session):
         ray.data.from_arrow(orders),
         cust_keys=np.array([], dtype=np.int64),
         cutoff_us=2**62,
-        join_num_partitions=2,
     ).take_all()
     assert out == []

@@ -1,13 +1,15 @@
 """``my_ocr_ray.sizing`` is the one home of the cluster-sizing policy.
 
 The table tests drive the real call sites (``extract()``, ``_hash_parts``,
-``kie_rowcol``, the decode and ANN pools) on a recording stand-in dataset at
-a faked CPU count, and compare every pool size and partition count with the
-formulas each site used before the policy moved into ``sizing.py``. Those
-formulas are copied here verbatim as the reference. The aggregator rule is
-pinned by its own cases, and two live tests run the join plan on a real
-Ray session: one aggregator process per exchange, and the caller's
-DataContext left as it was.
+the battery joins that used to plan a fixed 8 partitions, ``kie_rowcol``,
+the decode and ANN pools) on a recording stand-in dataset at a faked CPU
+count, and compare every pool size and partition count with the formulas
+each site used before the policy moved into ``sizing.py``. Those formulas
+are copied here verbatim as the reference. The aggregator rule is pinned
+by its own cases, source and signature guards keep the policy in one
+place (no battery operator takes a sizing argument), and two live tests
+run the join plan on a real Ray session: one aggregator process per
+exchange, and the caller's DataContext left as it was.
 """
 import re
 import types
@@ -302,6 +304,32 @@ def test_keyed_exchange_partitions_match_parent(cpus, fake_cpus):
         )
 
 
+def _join_partitions(ds):
+    return {v for k, what, v in ds._plan.log if (k, what) == ("partitions", "join")}
+
+
+@pytest.mark.parametrize("cpus", CPUS)
+def test_former_fixed_joins_follow_keyed_rule(cpus, fake_cpus):
+    """The joins that used to plan a fixed 8 partitions size themselves
+    like every keyed exchange: 8 at >= 8 CPUs below 16M rows, fewer on a
+    smaller cluster, more with more rows."""
+    from my_ocr_ray import dedup
+
+    fake_cpus(cpus)
+    for rows in ROWS:
+        want = {ref_keyed_partitions(rows, cpus)}
+        for op in (dedup.jaccard_pairs, dedup.containment_pairs):
+            ds = _recording(rows)
+            op(ds)
+            assert _join_partitions(ds) == want, op.__name__
+        old = _recording(rows)
+        dedup.diff_snapshots(old, _recording(rows))
+        both = None if rows is None else 2 * rows
+        assert _join_partitions(old) == {ref_keyed_partitions(both, cpus)}
+        if cpus >= 8 and rows is not None and rows < 16_000_000:
+            assert want == {8}
+
+
 @pytest.mark.parametrize("cpus", CPUS)
 def test_actor_pools_match_parent(cpus, fake_cpus):
     from my_ocr_ray.pipelines.kie import kie_rowcol
@@ -314,7 +342,7 @@ def test_actor_pools_match_parent(cpus, fake_cpus):
         assert ds.values("pool") == {ref_kie_pool(rows, cpus)}
     assert _decode_pool() == ref_decode_pool(cpus)
     assert _decode_pool(cap=8) == ref_decode_pool(cpus, cap=8)
-    for requested in (1, 2, 4, 8, 64):  # ann: fixed 4, knn_self_join's arg
+    for requested in (1, 2, 4, 8, 64):  # ann pools: cap 4
         assert sizing.actor_pool(1, cap=requested) == ref_ann_pool(requested, cpus)
 
 
@@ -341,6 +369,36 @@ def test_cpu_lookup_only_in_sizing():
         if 'cluster_resources().get("CPU"' in src
     }
     assert hits == {"sizing.py": 1}
+
+
+def test_battery_budget_only_in_sizing():
+    """Callers pass ``sizing.AGGREGATOR_CPU_BUDGET`` (or a computed
+    budget), never a literal."""
+    pat = re.compile(r"configure_hash_shuffle\(\s*[^()]*?,[^()]*?,\s*\d")
+    hits = [path for path, src in _sources().items() if pat.search(src)]
+    assert hits == []
+    assert sizing.AGGREGATOR_CPU_BUDGET == 4.0
+
+
+_BATTERY_MODULES = ("dedup", "windows", "corpus", "relational", "ann",
+                    "pipelines.evaluate")
+_SIZING_PARAMS = {"num_partitions", "join_num_partitions", "agg_blocks",
+                  "aggregator_cpu_budget", "concurrency"}
+
+
+def test_battery_operators_take_no_sizing_arguments():
+    import importlib
+    import inspect
+
+    found = []
+    for name in _BATTERY_MODULES:
+        mod = importlib.import_module(f"my_ocr_ray.{name}")
+        for fname, fn in inspect.getmembers(mod, inspect.isfunction):
+            if fname.startswith("_") or fn.__module__ != mod.__name__:
+                continue
+            bad = _SIZING_PARAMS & set(inspect.signature(fn).parameters)
+            found += [f"{name}.{fname}({p})" for p in sorted(bad)]
+    assert found == []
 
 
 def test_configure_hash_shuffle_defined_only_in_sizing():
