@@ -28,12 +28,7 @@ from .functions.textproc import (
     minhash_sigs_matrix,
     simhash64_batch,
 )
-from .sizing import (
-    AGGREGATOR_CPU_BUDGET,
-    approx_rows,
-    configure_hash_shuffle,
-    exchange_partitions,
-)
+from .sizing import approx_rows, hash_exchange
 
 
 # Conservative per-document row-expansion estimates used ONLY for exchange
@@ -209,7 +204,7 @@ def lsh_candidate_pairs(
     def distinct(batch: pa.Table) -> pa.Table:
         return batch.group_by(["doc_a", "doc_b"]).aggregate([])
 
-    pairs = _hash_parts(bands, ["band"], approx_rows=band_rows_est).map_batches(
+    pairs = _hash_parts(bands, ["band"], band_rows_est).map_batches(
         block_pairs, batch_format="pyarrow", batch_size=None
     )
     return _hash_parts(pairs, ["doc_a", "doc_b"]).map_batches(
@@ -344,13 +339,12 @@ def jaccard_pairs(docs_ds, k: int = 3):
             [batch["doc_id"], batch["text"]], names=["join_id", "text_b"]
         )
 
-    left = docs_ds.map_batches(key_next, batch_format="pyarrow")
-    right = docs_ds.map_batches(key_self, batch_format="pyarrow")
+    left, num_partitions = hash_exchange(
+        docs_ds.map_batches(key_next, batch_format="pyarrow"), approx_rows(docs_ds)
+    )
     joined = left.join(
-        right,
-        join_type="inner",
-        num_partitions=exchange_partitions(approx_rows(docs_ds)),
-        on=("join_id",),
+        docs_ds.map_batches(key_self, batch_format="pyarrow"),
+        join_type="inner", num_partitions=num_partitions, on=("join_id",),
     )
 
     def compute(batch: pa.Table) -> pa.Table:
@@ -389,13 +383,12 @@ def containment_pairs(docs_ds, k: int = 3):
             [batch["doc_id"], batch["text"]], names=["join_id", "text_b"]
         )
 
-    left = docs_ds.map_batches(key_next, batch_format="pyarrow")
-    right = docs_ds.map_batches(key_self, batch_format="pyarrow")
+    left, num_partitions = hash_exchange(
+        docs_ds.map_batches(key_next, batch_format="pyarrow"), approx_rows(docs_ds)
+    )
     joined = left.join(
-        right,
-        join_type="inner",
-        num_partitions=exchange_partitions(approx_rows(docs_ds)),
-        on=("join_id",),
+        docs_ds.map_batches(key_self, batch_format="pyarrow"),
+        join_type="inner", num_partitions=num_partitions, on=("join_id",),
     )
 
     def compute(batch: pa.Table) -> pa.Table:
@@ -519,11 +512,7 @@ def _candidate_texts(docs_ds, num_hashes: int, band_size: int, k: int):
             [batch["doc_id"], batch["text"]], names=["doc_b", "text_b"]
         )
 
-    num_partitions = exchange_partitions(approx_rows(docs_ds))
-    # the joins run on the plan's own context with the fixed hash-shuffle
-    # and aggregate claims (budget / partitions, the same as
-    # shipping_revenue); the join aggregators keep Ray's default claim
-    pairs = configure_hash_shuffle(pairs, num_partitions, AGGREGATOR_CPU_BUDGET)
+    pairs, num_partitions = hash_exchange(pairs, approx_rows(docs_ds))
     return pairs.join(
         docs_ds.map_batches(as_a, batch_format="pyarrow"),
         join_type="inner", num_partitions=num_partitions, on=("doc_a",),
@@ -904,7 +893,6 @@ def connected_components(pairs_ds, max_iters: int = 50,
         return edges.repartition(1).map_batches(
             _cc_single_block, batch_format="pyarrow", batch_size=None
         )
-    num_partitions = exchange_partitions(n_edges)
 
     # round 0: label(n) = min(n, min direct neighbour)
     def with_self(batch: pa.Table) -> pa.Table:
@@ -942,9 +930,10 @@ def connected_components(pairs_ds, max_iters: int = 50,
         return 0 if v is None else int(v)
 
     prev_sum = _label_sum(labels)
+    join_edges, num_partitions = hash_exchange(edges, n_edges)
     for _ in range(max_iters):
         # neighbour labels: edge (src, dst) x label(dst) -> (src, label)
-        neigh = edges.join(
+        neigh = join_edges.join(
             labels.map_batches(
                 lambda b: b.rename_columns(["dst_node", "label"]),
                 batch_format="pyarrow",
@@ -1142,7 +1131,7 @@ def passage_dedup(docs_ds, chunk: int = 20):
     parts = _hash_parts(
         docs_ds.map_batches(passages, batch_format="pyarrow"),
         ["h"],
-        approx_rows=passage_rows,
+        rows=passage_rows,
     ).map_batches(owner_counts, batch_format="pyarrow", batch_size=None)
     # second skinny exchange co-locates each doc's per-block partials; the
     # combine is one vectorized bincount per block (a Ray groupby here
@@ -1293,13 +1282,9 @@ def incremental_dedup(new_docs_ds, known_docs_ds, path: str | None = None,
             anti=True,
         )
     else:
-        num_partitions = exchange_partitions(approx_rows(known_docs_ds))
-        # the join runs on the plan's own context with the fixed
-        # hash-shuffle and aggregate claims (budget / partitions), which the
-        # groupby below inherits; the join aggregators keep Ray's default
-        # claim
-        new_fps = configure_hash_shuffle(
-            new_fps, num_partitions, AGGREGATOR_CPU_BUDGET
+        # the groupby below inherits the join's hash-shuffle context
+        new_fps, num_partitions = hash_exchange(
+            new_fps, approx_rows(known_docs_ds)
         )
         fresh = new_fps.join(
             known_fps.select_columns(["fp"]),
@@ -1496,9 +1481,9 @@ def _scrub_passages_join(docs_ds, drops, chunk: int, keyer):
     column. Value-identical to the broadcast paths (pinned by tests)."""
     from .windows import _hash_parts
 
-    # the join carries EXPLODED rows, not documents — size accordingly
-    est = approx_rows(docs_ds)
-    num_partitions = exchange_partitions(est * PASSAGES_PER_DOC_EST if est else None)
+    # the join carries EXPLODED rows, not documents — size accordingly (an
+    # unknown estimate counts 0 rows, which plans the same floor)
+    rows = (approx_rows(docs_ds) or 0) * PASSAGES_PER_DOC_EST
 
     def keyed_passages(batch: pa.Table) -> pa.Table:
         p = _passage_rows(batch, chunk, with_text=True)
@@ -1521,7 +1506,9 @@ def _scrub_passages_join(docs_ds, drops, chunk: int, keyer):
             }
         )
 
-    passages = docs_ds.map_batches(keyed_passages, batch_format="pyarrow")
+    passages, num_partitions = hash_exchange(
+        docs_ds.map_batches(keyed_passages, batch_format="pyarrow"), rows
+    )
     drop_marks = drops.map_batches(mark, batch_format="pyarrow")
     nd = _nonempty(drop_marks)
     joined = passages.join(
@@ -1571,7 +1558,7 @@ def _scrub_passages_join(docs_ds, drops, chunk: int, keyer):
             }
         )
 
-    return _hash_parts(joined, ["doc_id"], num_partitions).map_batches(
+    return _hash_parts(joined, ["doc_id"], rows).map_batches(
         rebuild_block, batch_format="pyarrow", batch_size=None
     )
 
@@ -1644,7 +1631,7 @@ def drop_frequent_lines(docs_ds, chunk: int = 5, min_count: int = 3,
         _hash_parts(
             docs_ds.map_batches(skinny_counts, batch_format="pyarrow"),
             ["h"],
-            approx_rows=(est_docs or 0) * LINES_PER_DOC_EST or None,
+            rows=(est_docs or 0) * LINES_PER_DOC_EST or None,
         )
         .map_batches(frequent, batch_format="pyarrow", batch_size=None)
         .materialize()
@@ -1844,7 +1831,7 @@ def dup_span_stats(docs_ds, n: int = 8, path: str | None = None,
         _hash_parts(
             docs_ds.map_batches(skinny_counts, batch_format="pyarrow"),
             ["key"],
-            approx_rows=(est_docs or 0) * GRAMS_PER_DOC_EST or None,
+            rows=(est_docs or 0) * GRAMS_PER_DOC_EST or None,
         )
         .map_batches(dup_keys, batch_format="pyarrow", batch_size=None)
         .materialize()
@@ -1896,9 +1883,9 @@ def _dup_span_stats_join(docs_ds, dups, n: int):
     Value-identical to the broadcast path (pinned by test)."""
     from .windows import _hash_parts
 
-    # the join carries EXPLODED rows, not documents — size accordingly
-    est = approx_rows(docs_ds)
-    num_partitions = exchange_partitions(est * GRAMS_PER_DOC_EST if est else None)
+    # the join carries EXPLODED rows, not documents — size accordingly (an
+    # unknown estimate counts 0 rows, which plans the same floor)
+    rows = (approx_rows(docs_ds) or 0) * GRAMS_PER_DOC_EST
 
     def gram_rows(batch: pa.Table) -> pa.Table:
         doc_row, s, key, tok_counts = _gram_keys(batch, n)
@@ -1942,7 +1929,9 @@ def _dup_span_stats_join(docs_ds, dups, n: int):
         }
     )
 
-    grams = docs_ds.map_batches(gram_rows, batch_format="pyarrow")
+    grams, num_partitions = hash_exchange(
+        docs_ds.map_batches(gram_rows, batch_format="pyarrow"), rows
+    )
     marks = dups.map_batches(mark, batch_format="pyarrow")
     nd = _nonempty(marks)
     joined = grams.join(
@@ -1988,7 +1977,7 @@ def _dup_span_stats_join(docs_ds, dups, n: int):
             }
         )
 
-    return _hash_parts(joined, ["doc_id"], num_partitions).map_batches(
+    return _hash_parts(joined, ["doc_id"], rows).map_batches(
         cover_block, batch_format="pyarrow", batch_size=None
     )
 
@@ -2011,10 +2000,13 @@ def diff_snapshots(old_docs_ds, new_docs_ds):
 
     # the full-outer join carries both snapshots' rows
     sides = [approx_rows(old_docs_ds), approx_rows(new_docs_ds)]
-    joined = fps(old_docs_ds).join(
+    old, num_partitions = hash_exchange(
+        fps(old_docs_ds), None if None in sides else sum(sides)
+    )
+    joined = old.join(
         fps(new_docs_ds).map_batches(rename_new, batch_format="pyarrow"),
         join_type="full_outer",
-        num_partitions=exchange_partitions(None if None in sides else sum(sides)),
+        num_partitions=num_partitions,
         on=("doc_id",),
         right_on=("nid",),
     )
@@ -2121,7 +2113,8 @@ def pagerank(pairs_ds, iters: int = 3, damping: float = 0.85,
             lambda b: _pagerank_single_block(b, iters, damping),
             batch_format="pyarrow", batch_size=None,
         )
-    num_partitions = exchange_partitions(n_edges)
+    # every exchange and join below is sized from the edge count
+    join_edges, num_partitions = hash_exchange(edges, n_edges)
 
     # weighted edge list (src, dst, w = 1/deg(src)), built once
     def block_deg(batch: pa.Table) -> pa.Table:
@@ -2131,14 +2124,14 @@ def pagerank(pairs_ds, iters: int = 3, damping: float = 0.85,
         )
 
     deg = (
-        _hash_parts(edges, ["src"], num_partitions)
+        _hash_parts(edges, ["src"], n_edges)
         .map_batches(block_deg, batch_format="pyarrow", batch_size=None)
         .materialize()
     )
     deg = _nonempty(deg)
     n = deg.count()
 
-    wedges = edges.join(
+    wedges = join_edges.join(
         deg, join_type="inner", num_partitions=num_partitions, on=("src",)
     ).map_batches(
         lambda b: pa.Table.from_pydict(
@@ -2153,7 +2146,7 @@ def pagerank(pairs_ds, iters: int = 3, damping: float = 0.85,
         ),
         batch_format="pyarrow",
     ).materialize()
-    wedges = _nonempty(wedges)
+    wedges, _ = hash_exchange(_nonempty(wedges), n_edges)
 
     def init_ranks(batch: pa.Table) -> pa.Table:
         return pa.Table.from_pydict(
@@ -2192,7 +2185,7 @@ def pagerank(pairs_ds, iters: int = 3, damping: float = 0.85,
             batch_format="pyarrow",
         )
         ranks = _nonempty(
-            _hash_parts(contrib, ["dst"], num_partitions)
+            _hash_parts(contrib, ["dst"], n_edges)
             .map_batches(block_sum, batch_format="pyarrow", batch_size=None)
             .materialize()
         )

@@ -74,11 +74,15 @@ def _distributed_span_metrics(files: list[str]) -> dict:
     return {c: int(sums[f"sum({c})"]) for c in METRIC_COLS}
 
 
-def _check_run_config(out_dir: str, num_partitions: int) -> None:
-    """Record the run's partition count; resuming with a different count
-    would re-partition the input differently and double/skip documents."""
+def _check_run_config(out_dir: str, num_partitions: int, media_path: str) -> None:
+    """Record the run's partition count and media table; resuming with a
+    different count would re-partition the input differently and
+    double/skip documents, and with a different media table would mix
+    outputs from two tables. A RUN.json without a media entry (written
+    before it was recorded) checks the count alone."""
     import json
 
+    media = os.path.abspath(media_path)
     path = os.path.join(out_dir, "RUN.json")
     if os.path.exists(path):
         with open(path) as f:
@@ -89,11 +93,17 @@ def _check_run_config(out_dir: str, num_partitions: int) -> None:
                 f"started with {prev.get('num_partitions')} — partition "
                 "assignment would not line up; use the original value"
             )
+        if prev.get("media_path", media) != media:
+            raise ValueError(
+                f"resume with media_path={media} but the run was started with "
+                f"{prev['media_path']} — outputs would mix two media tables; "
+                "use the original path"
+            )
         return
     os.makedirs(out_dir, exist_ok=True)
     tmp = path + ".tmp"
     with open(tmp, "w") as f:
-        json.dump({"num_partitions": num_partitions}, f)
+        json.dump({"num_partitions": num_partitions, "media_path": media}, f)
     os.replace(tmp, path)
 
 
@@ -121,7 +131,7 @@ def run_extract_partitioned(
     import ray.data
 
     groups = _partition_files(docs_dir, num_partitions)
-    _check_run_config(out_dir, len(groups))
+    _check_run_config(out_dir, len(groups), media_path)
     media = resolve_media(media_path)
     done_before = set(completed_partitions(out_dir))
     processed = 0

@@ -288,19 +288,14 @@ def shipping_revenue(
     skinny qualifying-orders table is materialized once and reused by the
     Bloom build and the join (one orders scan, not two). Join partition
     count is data-scaled from the probe side with the engine-wide rule,
-    and the plan's hash-shuffle and aggregate claims (the groupby after
-    the join) share the fixed budget ``_hash_parts`` uses, so growing
+    and the plan's join, hash-shuffle and aggregate claims (the groupby
+    after the join) share the fixed budget ``_hash_parts`` uses, so growing
     partitions never starve neighbouring stages. Output dates are epoch
     seconds (int64)."""
     import ray
 
     from .functions.num import round_away
-    from .sizing import (
-        AGGREGATOR_CPU_BUDGET,
-        approx_rows,
-        configure_hash_shuffle,
-        exchange_partitions,
-    )
+    from .sizing import approx_rows, hash_exchange
 
     ck_ref = ray.put(np.sort(np.asarray(cust_keys, dtype=np.int64)))
 
@@ -392,15 +387,11 @@ def shipping_revenue(
         )
 
     li = lineitem_ds.map_batches(li_partial, batch_format="pyarrow")
-    # data-scaled join partitions (the engine-wide sizing rule): grow with
-    # the PROBE side's source rows
-    num_partitions = exchange_partitions(approx_rows(lineitem_ds))
-    # the plan's own context, with the hash-shuffle and aggregate claims
-    # pinned to the fixed budget exactly as _hash_parts does for keyed
-    # exchanges (at the partition cap an unbudgeted groupby pool, 0.25 CPU
-    # x 128 partitions, would claim every core); the join aggregators keep
-    # Ray's default claim
-    li = configure_hash_shuffle(li, num_partitions, AGGREGATOR_CPU_BUDGET)
+    # the engine-wide rule, sized from the PROBE side's source rows, on the
+    # plan's own context: the join and the groupby after it share the fixed
+    # budget (at the partition cap an unbudgeted groupby pool, 0.25 CPU x
+    # 128 partitions, would claim every core)
+    li, num_partitions = hash_exchange(li, approx_rows(lineitem_ds))
     joined = li.join(
         orders_q,
         join_type="inner",

@@ -14,23 +14,24 @@ constant has one home instead of a copy per call site.
   the tasks and exchanges running next to the pool.
 - :func:`configure_hash_shuffle` — a plan's own DataContext, set to the
   hash-shuffle backend with a fixed total aggregator CPU claim.
+- :func:`hash_exchange` — a battery exchange's partition count and dataset.
 
 The battery operators take no sizing arguments: each exchange or join
-sizes itself with :func:`exchange_partitions` from its own row estimate
-(:func:`approx_rows`, times the operator's row-expansion constant where
-it has one) and claims :data:`AGGREGATOR_CPU_BUDGET`.
+passes its own row estimate (:func:`approx_rows`, times the operator's
+row-expansion constant where it has one) to :func:`hash_exchange`.
 
-Partitions follow CPUs, aggregator processes follow rows. The partition
-count of an exchange is floored by the cluster (it sets how many blocks the
-work after the exchange runs on); the number of aggregator actors that
-hold those partitions comes from the row estimate, because each one is a
-fresh process whose start (importing ``ray.data``, ~1.9 CPU-s) dwarfs the
-join and exchange work of a small input. An aggregator that holds k
-partitions claims k times one partition's CPU and memory, so the count
-never drops below what keeps each one at one CPU: a bigger actor may fit
-on no node, and the streaming executor would wait for it silently. Ray
-starts one aggregator per partition (up to its default of 64) unless
-``DataContext.max_hash_shuffle_aggregators`` caps it.
+Partitions follow CPUs, aggregator processes follow rows, in every
+exchange and join. The partition count of an exchange is floored by the
+cluster (it sets how many blocks the work after the exchange runs on); the
+number of aggregator actors that hold those partitions comes from the row
+estimate, because each one is a fresh process whose start (importing
+``ray.data``, ~1.9 CPU-s) dwarfs the join and exchange work of a small
+input. An aggregator that holds k partitions claims k times one
+partition's CPU and memory, so the count never drops below what keeps each
+one at one CPU: a bigger actor may fit on no node, and the streaming
+executor would wait for it silently. An unknown estimate takes that floor.
+Ray's default, one aggregator per partition (a join claiming up to 1 CPU
+each), is never used: at 8 CPUs such joins could not reserve memory.
 
 Resource fit: an actor pool, the hash-shuffle aggregators and the read /
 write tasks must all fit on the cluster at once, or the streaming executor
@@ -112,14 +113,15 @@ def hash_partitions(rows: int | None, cpus: int, floor: int) -> int:
     return int(max(floor, min(cap, by_data)))
 
 
-def hash_aggregators(rows: int, partitions: int) -> int:
+def hash_aggregators(rows: int | None, partitions: int) -> int:
     """Pure sizing rule: aggregator processes that run an exchange's
     ``partitions`` partitions = ceil(rows / ROWS_PER_HASH_PARTITION), at
     most one per partition, and at least ceil(partitions x
     MAX_CPUS_PER_PARTITION) so that none holds more partitions than fill
     one CPU at the per-partition cap (four: 1 CPU, and a join memory claim
-    of 13 blocks where one partition's aggregator claims 7)."""
-    by_rows = -(-int(rows) // ROWS_PER_HASH_PARTITION)
+    of 13 blocks where one partition's aggregator claims 7); unknown row
+    counts fall back to that floor."""
+    by_rows = -(-int(rows or 0) // ROWS_PER_HASH_PARTITION)
     by_cpu = math.ceil(partitions * MAX_CPUS_PER_PARTITION)
     return max(1, min(partitions, max(by_rows, by_cpu)))
 
@@ -143,7 +145,7 @@ def actor_pool(reserve: float, cap: int | None = None, floor: int = 1) -> int:
 
 
 def configure_hash_shuffle(
-    ds, num_partitions: int, aggregator_cpu_budget: float, rows: int | None = None
+    ds, num_partitions: int, aggregator_cpu_budget: float, rows: int | None
 ):
     """Return ``ds`` on its own copy of the DataContext, set to the
     hash-shuffle backend with a FIXED total aggregator CPU claim.
@@ -163,15 +165,14 @@ def configure_hash_shuffle(
     past budget/0.02 partitions — still <= 8% of the cluster at the
     4 x cpus partition cap.
 
-    With a row estimate, the exchanges of the returned plan run their
-    partitions on :func:`hash_aggregators` processes. Ray claims
-    per-partition-cpus x ceil(partitions / aggregators) for each one; the
-    per-partition claim is scaled down by the rounding so the aggregators
-    together claim no more than one aggregator per partition would, and
-    joins get the same claim (Ray's own join default, up to 1 CPU per
-    partition, would let one join aggregator claim several CPUs). Without
-    an estimate the aggregator count and the join claim are Ray's
-    defaults."""
+    The exchanges and joins of the returned plan run their partitions on
+    :func:`hash_aggregators` processes for ``rows`` estimated input rows
+    (its floor when ``rows`` is None). Ray claims per-partition-cpus x
+    ceil(partitions / aggregators) for each one; the per-partition claim is
+    scaled down by the rounding so the aggregators together claim no more
+    than one aggregator per partition would, and joins get the same claim
+    (Ray's own join default, up to 1 CPU per partition, would let one join
+    aggregator claim several CPUs)."""
     from ray.data._internal.logical.interfaces import LogicalPlan
     from ray.data.context import ShuffleStrategy
 
@@ -182,11 +183,10 @@ def configure_hash_shuffle(
     per_part = min(
         MAX_CPUS_PER_PARTITION, max(0.02, aggregator_cpu_budget / num_partitions)
     )
-    if rows is not None:
-        aggregators = hash_aggregators(rows, num_partitions)
-        ctx.max_hash_shuffle_aggregators = aggregators
-        per_part *= num_partitions / (aggregators * -(-num_partitions // aggregators))
-        ctx.join_operator_actor_num_cpus_per_partition_override = per_part
+    aggregators = hash_aggregators(rows, num_partitions)
+    ctx.max_hash_shuffle_aggregators = aggregators
+    per_part *= num_partitions / (aggregators * -(-num_partitions // aggregators))
+    ctx.join_operator_actor_num_cpus_per_partition_override = per_part
     ctx.hash_shuffle_operator_actor_num_cpus_per_partition_override = per_part
     # Downstream groupby/aggregate stages in the same plan inherit this
     # context. Without the overrides below they plan
@@ -196,3 +196,12 @@ def configure_hash_shuffle(
     ctx.default_hash_shuffle_parallelism = num_partitions
     ctx.hash_aggregate_operator_actor_num_cpus_per_partition_override = per_part
     return ds
+
+
+def hash_exchange(ds, rows: int | None):
+    """-> (``ds`` on its own context for a battery exchange or join of
+    ``rows`` estimated rows, its :func:`exchange_partitions` count), within
+    :data:`AGGREGATOR_CPU_BUDGET`. A join configures its left side."""
+    num_partitions = exchange_partitions(rows)
+    ds = configure_hash_shuffle(ds, num_partitions, AGGREGATOR_CPU_BUDGET, rows)
+    return ds, num_partitions

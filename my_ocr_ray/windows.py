@@ -122,41 +122,38 @@ def _sessions_for_group(group: pa.Table, gap_sec: int) -> pa.Table:
     )
 
 
-def _hash_parts(ds, keys, num_partitions: int | None = None,
-                approx_rows: int | None = None):
+def _hash_parts(ds, keys, rows: int | None = None):
     """Hash-repartition by key (co-locates each key in ONE block) so the
     multi-key vectorized kernels run once per block via ``map_batches``
     instead of once per group via ``map_groups`` — at ~100k (user, bucket)
     groups the per-group Python dispatch alone costs minutes (measured
     181s single-block vs 1.4s here).
 
-    Partition count is DATA-SCALED (``sizing.exchange_partitions``:
-    estimated input rows / 2M, floored at min(8, cpus) and capped at 4x
-    CPUs) — so the same call that runs 8 partitions at bench scale plans
-    hundreds at 100 TB. ``approx_rows`` overrides the estimate
-    (``sizing.approx_rows(ds)``) when the caller knows its rows expand;
-    ``num_partitions`` lets an operator reuse the count it already chose
-    for its own join, so both of its exchanges agree.
-    ``sizing.configure_hash_shuffle`` pins the aggregator pool's total CPU
-    claim to max(``sizing.AGGREGATOR_CPU_BUDGET``, 0.02 x partitions), so
-    growing data never starves neighbouring actor pools."""
-    if num_partitions is None:
-        rows = approx_rows if approx_rows is not None else sizing.approx_rows(ds)
-        num_partitions = sizing.exchange_partitions(rows)
-        SIZING_LOG.append(
-            {"keys": list(keys), "est_rows": rows, "num_partitions": num_partitions}
-        )
-        if len(SIZING_LOG) > 4096:  # bounded: diagnostics, not a ledger
-            del SIZING_LOG[:2048]
-    ds = sizing.configure_hash_shuffle(
-        ds, num_partitions, sizing.AGGREGATOR_CPU_BUDGET
+    ``rows`` is the exchange's row estimate, ``sizing.approx_rows(ds)``
+    when None; a caller whose rows expand passes its own, and an operator
+    reuses the one its join was sized from so both exchanges agree.
+    ``sizing.hash_exchange`` sizes the exchange from it: DATA-SCALED
+    partitions (estimated rows / 2M, floored at min(8, cpus) and capped at
+    4x CPUs — the same call that runs 8 partitions at bench scale plans
+    hundreds at 100 TB) on aggregator processes that follow rows, within a
+    total CPU claim of max(``sizing.AGGREGATOR_CPU_BUDGET``, 0.02 x
+    partitions), so growing data never starves neighbouring actor pools."""
+    if rows is None:
+        rows = sizing.approx_rows(ds)
+    ds, num_partitions = sizing.hash_exchange(ds, rows)
+    SIZING_LOG.append(
+        {"keys": list(keys), "est_rows": rows, "num_partitions": num_partitions,
+         "aggregators": ds.context.max_hash_shuffle_aggregators}
     )
+    if len(SIZING_LOG) > 4096:  # bounded: diagnostics, not a ledger
+        del SIZING_LOG[:2048]
     return ds.repartition(num_blocks=num_partitions, keys=keys)
 
 
-# append-only record of every auto-sized exchange (keys, row estimate,
-# chosen partition count) — lets scripts/partition_probe.py document that
-# partition counts grow with data without instrumenting Ray internals.
+# append-only record of every hash exchange (keys, row estimate, chosen
+# partition and aggregator counts) — lets scripts/partition_probe.py
+# document that exchanges grow with data without instrumenting Ray
+# internals.
 SIZING_LOG: list = []
 
 

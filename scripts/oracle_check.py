@@ -1,12 +1,16 @@
 """Self-check harness mimicking the driver's correctness gate: run every
 ``queries()`` entry and its ``oracle_sql()`` twin on the same sf dir, compare
 row count, schema (column names) and an order-insensitive value hash.
+Each line carries the query's wall seconds (run plus collection) and the
+first 12 hex digits of its result's value hash, and the last line the
+summed seconds, so two trees' sweeps can be compared query by query.
 
 Usage: python scripts/oracle_check.py [sf_dir] [query ...]
 """
 from __future__ import annotations
 
 import sys
+import time
 
 import duckdb
 import pandas as pd
@@ -63,22 +67,29 @@ def main() -> int:
     qs = entry.queries()
     oracles = entry.oracle_sql()
     failures = 0
+    total_s = 0.0
     for name, fn in qs.items():
         if only and name not in only:
             continue
+        t0 = time.perf_counter()
         try:
             mine = canon(_to_pandas(fn(sf_dir)))
         except Exception as e:
-            print(f"FAIL {name}: query raised {type(e).__name__}: {e}")
+            secs = time.perf_counter() - t0
+            total_s += secs
+            print(f"FAIL {name}: query raised {type(e).__name__}: {e} [{secs:.2f}s]")
             failures += 1
             continue
+        secs = time.perf_counter() - t0
+        total_s += secs
+        tag = f"[{secs:.2f}s hash={value_hash(mine)[:12]}]"
         if name not in oracles:
-            print(f"rows-only {name}: {len(mine)} rows, cols={list(mine.columns)}")
+            print(f"rows-only {name}: {len(mine)} rows, cols={list(mine.columns)} {tag}")
             continue
         try:
             want = canon(con.execute(oracles[name]).df())
         except Exception as e:
-            print(f"FAIL {name}: oracle raised {type(e).__name__}: {e}")
+            print(f"FAIL {name}: oracle raised {type(e).__name__}: {e} {tag}")
             failures += 1
             continue
         problems = []
@@ -97,9 +108,10 @@ def main() -> int:
                 problems.append(f"first diffs:\n{diff.head(5)}")
         if problems:
             failures += 1
-            print(f"FAIL {name}: " + "; ".join(problems))
+            print(f"FAIL {name}: " + "; ".join(problems) + f" {tag}")
         else:
-            print(f"OK   {name}: {len(mine)} rows")
+            print(f"OK   {name}: {len(mine)} rows {tag}")
+    print(f"total query seconds: {total_s:.2f}")
     ray.shutdown()
     return 1 if failures else 0
 

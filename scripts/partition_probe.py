@@ -6,8 +6,9 @@ Two parts:
    processes that run those partitions) evaluated over a row ladder at
    32 CPUs — the partition-count table for BASELINE.md.
 2. A live probe: run exchange-heavy queries at a real sf dir, dump every
-   auto-sized exchange from `windows.SIZING_LOG` (estimated rows -> chosen
-   partitions), proving the row estimate reaches the sizer on real plans.
+   auto-sized exchange from `windows.SIZING_LOG` (estimated rows -> the
+   partition and aggregator counts the plan was given), proving the row
+   estimate reaches the sizer on real plans.
 
 Usage: python scripts/partition_probe.py [sf_dir]
 """
@@ -29,8 +30,7 @@ def main() -> None:
                 f"aggregators={hash_aggregators(rows, parts)}")
 
     print("# sizing rule @ 32 CPUs (floor 8, cap 128, 2M rows/partition; "
-          "aggregators as extract's join plan sets them — the battery "
-          "exchanges below still run one per partition)")
+          "aggregators: 2M rows each, at least one per 4 partitions)")
     for rows in [100_000, 1_600_000, 16_000_000, 200_000_000,
                  2_000_000_000, 1_000_000_000_000]:
         print(row(rows, 32))
@@ -59,7 +59,7 @@ def main() -> None:
         n = ds.count() if hasattr(ds, "count") else len(ds)
         sized = [
             {"keys": e["keys"], "est_rows": e["est_rows"],
-             "parts": e["num_partitions"]}
+             "parts": e["num_partitions"], "aggregators": e["aggregators"]}
             for e in windows.SIZING_LOG
         ]
         print(json.dumps({"query": name, "rows_out": n, "exchanges": sized}))

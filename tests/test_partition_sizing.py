@@ -63,9 +63,12 @@ def test_hash_parts_logs_and_scales(tmp_path, ray_session):
     pq.write_table(t, str(path))
     ds = ray.data.read_parquet(str(path))
     windows.SIZING_LOG.clear()
-    out = windows._hash_parts(ds, ["k"], approx_rows=10_000_000)
+    out = windows._hash_parts(ds, ["k"], rows=10_000_000)
     entry = windows.SIZING_LOG[-1]
     assert entry["est_rows"] == 10_000_000
     # ceil(10M/2M)=5 but floor is min(8, cpus)=4 on the 4-cpu test cluster
     assert entry["num_partitions"] == 5
+    # one aggregator per 2M rows: 5, what the plan's context was set to
+    assert entry["aggregators"] == sizing.hash_aggregators(10_000_000, 5) == 5
+    assert out.context.max_hash_shuffle_aggregators == 5
     assert out.count() == 100

@@ -131,6 +131,31 @@ def test_resume_with_different_partition_count_rejected(
         run_extract_partitioned(docs_dir, media_path, out_dir, num_partitions=2)
 
 
+def test_resume_with_different_media_path_rejected(
+    corpus_dirs, ray_session, tmp_path
+):
+    import json
+    import shutil
+
+    docs_dir, media_path, _ = corpus_dirs
+    out_dir = str(tmp_path / "out_media")
+    run_extract_partitioned(
+        docs_dir, media_path, out_dir, num_partitions=2, max_partitions=0,
+    )
+    other = str(tmp_path / "other_media.parquet")
+    shutil.copy(media_path, other)
+    with pytest.raises(ValueError, match="media_path"):
+        run_extract_partitioned(
+            docs_dir, other, out_dir, num_partitions=2, max_partitions=0,
+        )
+    # a RUN.json written before the media path was recorded still resumes
+    with open(os.path.join(out_dir, "RUN.json"), "w") as f:
+        json.dump({"num_partitions": 2}, f)
+    run_extract_partitioned(
+        docs_dir, other, out_dir, num_partitions=2, max_partitions=0,
+    )
+
+
 def _goldens(expected, rows):
     got = {r["doc_id"]: [dict(s) for s in r["spans"]] for r in rows}
     exp = {r["doc_id"]: r["spans"] for r in expected.to_pylist()}

@@ -6,10 +6,13 @@ the decode and ANN pools) on a recording stand-in dataset at a faked CPU
 count, and compare every pool size and partition count with the formulas
 each site used before the policy moved into ``sizing.py``. Those formulas
 are copied here verbatim as the reference. The aggregator rule is pinned
-by its own cases, source and signature guards keep the policy in one
-place (no battery operator takes a sizing argument), and two live tests
-run the join plan on a real Ray session: one aggregator process per
-exchange, and the caller's DataContext left as it was.
+by its own cases and by a table over the battery's exchanges and joins
+(aggregators follow rows, a join claims what a shuffle does, also without
+a row estimate); source and signature guards keep the policy in one place
+(no battery operator takes a sizing argument, ``configure_hash_shuffle``
+always takes a row estimate), and two live tests run the join plan on a
+real Ray session: one aggregator process per exchange, and the caller's
+DataContext left as it was.
 """
 import re
 import types
@@ -85,10 +88,11 @@ class _RecordingPlan:
 
 
 class _RecordingDataset:
-    """Answers the metadata row count and records pool sizes and
-    partition counts; never executes anything (it has no ``limit`` or
-    ``iter_batches``, so a plan that runs a dataset before the main pass
-    fails on it). ``configure_hash_shuffle`` rebinds it to a copied context
+    """Answers the metadata row count and records pool sizes, partition
+    counts and each exchange's aggregator settings (count, join claim,
+    shuffle claim per partition); never executes anything (it has no
+    ``limit`` or ``iter_batches``, so a plan that runs a dataset before the
+    main pass fails on it). ``configure_hash_shuffle`` rebinds it to a copied context
     as it does a Dataset: ``type(ds)(plan, logical_plan)``."""
 
     def __init__(self, plan, logical_plan):
@@ -109,12 +113,26 @@ class _RecordingDataset:
             )
         return self
 
+    def _log_aggregators(self, what):
+        ctx = self.context
+        self._plan.log.append((
+            "aggregators",
+            what,
+            (
+                ctx.max_hash_shuffle_aggregators,
+                ctx.join_operator_actor_num_cpus_per_partition_override,
+                ctx.hash_shuffle_operator_actor_num_cpus_per_partition_override,
+            ),
+        ))
+
     def join(self, other, **kw):
         self._plan.log.append(("partitions", "join", kw["num_partitions"]))
+        self._log_aggregators("join")
         return self
 
     def repartition(self, num_blocks, keys):
         self._plan.log.append(("partitions", tuple(keys), num_blocks))
+        self._log_aggregators(tuple(keys))
         return self
 
     def select_columns(self, cols):
@@ -148,7 +166,7 @@ def test_extract_pool_and_partitions_match_parent(cpus, fake_cpus, monkeypatch):
     configured = []
     orig = ex.configure_hash_shuffle
 
-    def spy(ds, num_partitions, aggregator_cpu_budget, rows=None):
+    def spy(ds, num_partitions, aggregator_cpu_budget, rows):
         out = orig(ds, num_partitions, aggregator_cpu_budget, rows=rows)
         configured.append((num_partitions, rows, out.context))
         return out
@@ -180,17 +198,13 @@ def test_extract_pool_and_partitions_match_parent(cpus, fake_cpus, monkeypatch):
             else:
                 assert parts == {ref_extract_partitions(rows, cpus)}
             # both exchanges share one context, configured once with the
-            # span-row estimate; aggregators follow it, Ray's default when
+            # span-row estimate; aggregators follow it, the CPU floor when
             # it is unknown
             (n_parts,) = parts
             span_rows = None if rows is None else rows * ex.EST_SPANS_PER_DOC
             ((got_parts, got_rows, ctx),) = configured
             assert (got_parts, got_rows) == (n_parts, span_rows)
-            want = (
-                _DEFAULT_SHUFFLE_FIELDS["max_hash_shuffle_aggregators"]
-                if rows is None
-                else sizing.hash_aggregators(span_rows, n_parts)
-            )
+            want = sizing.hash_aggregators(span_rows or 0, n_parts)
             assert ctx.max_hash_shuffle_aggregators == want
 
 
@@ -251,41 +265,40 @@ def _ray_join_aggregator_memory(ctx, parts):
     return -(-2 * parts * block // _ray_aggregators(ctx, parts)) + 5 * block
 
 
+def _one_aggregator_per_partition(parts, budget):
+    """Total CPU claim and per-aggregator join memory claim of one
+    aggregator per partition (Ray's own layout) at the per-partition claim
+    ``configure_hash_shuffle`` derives from ``budget``: each aggregator
+    holds 2 of the join's 2 x parts input partitions, plus 3 + 2 for the
+    join and its output."""
+    per_part = min(sizing.MAX_CPUS_PER_PARTITION, max(0.02, budget / parts))
+    return parts * per_part, 7 * DataContext().target_max_block_size
+
+
 @pytest.mark.parametrize("cpus", CPUS)
 def test_aggregator_claims_bounded(cpus):
-    """Against one aggregator per partition (``configure_hash_shuffle``
-    without a row estimate): fewer aggregators claim no more CPU in total,
-    a join's claim the same as a shuffle's, each one claims at most one
-    CPU, and each one's join memory claim is at most twice as large.
-    Without an estimate nothing changes."""
+    """Against one aggregator per partition, with or without a row
+    estimate: fewer aggregators claim no more CPU in total, a join's claim
+    the same as a shuffle's, each one claims at most one CPU, and each
+    one's join memory claim is at most twice as large."""
     budget = max(1.0, cpus / 8)
     for rows in ROWS + [5_000_000, 33_000_000]:
         for floor in (max(2, cpus // 2), max(2, min(8, cpus))):
             parts = sizing.hash_partitions(rows, cpus, floor)
-            before = sizing.configure_hash_shuffle(_recording(None), parts, budget)
-            after = sizing.configure_hash_shuffle(
-                _recording(None), parts, budget, rows=rows
-            )
-            b, a = before.context, after.context
-            if rows is None:
-                assert _shuffle_fields(a) == _shuffle_fields(b)
-                assert _ray_aggregators(a, parts) == min(
-                    parts, _DEFAULT_SHUFFLE_FIELDS["max_hash_shuffle_aggregators"]
-                )
-                continue
+            ref_cpus, ref_join_memory = _one_aggregator_per_partition(parts, budget)
+            a = sizing.configure_hash_shuffle(
+                _recording(None), parts, budget, rows
+            ).context
             aggs = _ray_aggregators(a, parts)
             assert aggs == a.max_hash_shuffle_aggregators
+            assert aggs == sizing.hash_aggregators(rows or 0, parts)
             shuffle_total = aggs * _ray_aggregator_cpus(a, parts)
-            assert shuffle_total <= (
-                _ray_aggregators(b, parts) * _ray_aggregator_cpus(b, parts) + 1e-9
-            )
+            assert shuffle_total <= ref_cpus + 1e-9
             # the join claims what the shuffle does, instead of Ray's
             # default (up to 1 CPU per partition)
             assert aggs * _ray_aggregator_cpus(a, parts, "join") == shuffle_total
             assert _ray_aggregator_cpus(a, parts) <= 1 + 1e-9
-            assert _ray_join_aggregator_memory(a, parts) <= (
-                2 * _ray_join_aggregator_memory(b, parts)
-            )
+            assert _ray_join_aggregator_memory(a, parts) <= 2 * ref_join_memory
 
 
 @pytest.mark.parametrize("cpus", CPUS)
@@ -328,6 +341,35 @@ def test_former_fixed_joins_follow_keyed_rule(cpus, fake_cpus):
         assert _join_partitions(old) == {ref_keyed_partitions(both, cpus)}
         if cpus >= 8 and rows is not None and rows < 16_000_000:
             assert want == {8}
+
+
+@pytest.mark.parametrize("cpus", CPUS)
+def test_battery_aggregators_follow_rows(cpus, fake_cpus):
+    """Every battery exchange and join runs its partitions on
+    ``hash_aggregators(rows, P)`` processes, the CPU floor when the row
+    estimate is unknown, and its join claim equals its shuffle claim."""
+    from my_ocr_ray import dedup
+    from my_ocr_ray.windows import _hash_parts
+
+    fake_cpus(cpus)
+    for rows in ROWS:
+        cases = []
+        for op in (
+            lambda ds: _hash_parts(ds, ["k"]),
+            dedup.jaccard_pairs,
+            dedup.containment_pairs,
+        ):
+            ds = _recording(rows)
+            op(ds)
+            cases.append((ds, rows))
+        old = _recording(rows)
+        dedup.diff_snapshots(old, _recording(rows))
+        cases.append((old, None if rows is None else 2 * rows))
+        for ds, est in cases:
+            (parts,) = ds.values("partitions")
+            ((aggs, join_claim, shuffle_claim),) = ds.values("aggregators")
+            assert aggs == sizing.hash_aggregators(est or 0, parts)
+            assert join_claim == shuffle_claim
 
 
 @pytest.mark.parametrize("cpus", CPUS)
@@ -399,6 +441,13 @@ def test_battery_operators_take_no_sizing_arguments():
             bad = _SIZING_PARAMS & set(inspect.signature(fn).parameters)
             found += [f"{name}.{fname}({p})" for p in sorted(bad)]
     assert found == []
+
+
+def test_configure_hash_shuffle_requires_rows():
+    import inspect
+
+    rows = inspect.signature(sizing.configure_hash_shuffle).parameters["rows"]
+    assert rows.default is inspect.Parameter.empty
 
 
 def test_configure_hash_shuffle_defined_only_in_sizing():
