@@ -125,16 +125,21 @@ def run_flagship(
 ) -> dict:
     """Timed: read parquet -> extract -> write parquet (fully streaming).
 
-    ``media`` selects the span<-bytes strategy: "broadcast" (ray.put lookup),
-    "join" (media-table hash shuffle join — the 100-TB path), or "auto"
-    (extract() decides from footer bytes vs the object store size).
+    ``media`` selects the span<-bytes strategy: "broadcast"
+    (``load_media_lookup``), "join" (media-table hash shuffle join — the
+    100-TB path), or "auto" (``resolve_media`` decides from footer bytes vs
+    the object store size).
     """
     import glob
     import shutil
 
     import ray.data
 
-    from my_ocr_ray.pipelines.extract import extract, load_media_lookup
+    from my_ocr_ray.pipelines.extract import (
+        extract,
+        load_media_lookup,
+        resolve_media,
+    )
 
     corpus = ensure_corpus(n_docs)
     media_files = sorted(glob.glob(f"{corpus}/media/*.parquet"))
@@ -156,8 +161,8 @@ def run_flagship(
             media_files, columns=["media_ref", "bytes"]
         )
         result = extract(ds, media_ds=media_ds, ocr_batch_size=1024)
-    else:  # auto: extract() picks from footer bytes vs object store size
-        result = extract(ds, media_path=media_files, ocr_batch_size=1024)
+    else:  # auto: resolve_media picks from footer bytes vs object store size
+        result = extract(ds, **resolve_media(media_files), ocr_batch_size=1024)
     result.write_parquet(out_dir)
     wall = time.time() - t0
     return {"wall_sec": wall, "docs_per_sec": n_docs / wall, "n_docs": n_docs}
@@ -233,14 +238,18 @@ def main() -> None:
         # reported efficiency is the MEDIAN over the pairs (below).
         gates: list[dict] = []
 
-        def one_run(cpus: int, pair_idx: int) -> tuple[float, float]:
+        def one_run(cpus: int, pair_idx: int, retry: int) -> tuple[float, float]:
             # idle-gate every leg: defer while foreign CPU load is present,
             # and record the per-leg (busy%, load1) evidence next to the
             # measurement so a polluted window is visible in the data, not
             # just in after-the-fact prose. The gate samples BEFORE the
             # leg; hypervisor steal measured ACROSS the leg catches foreign
             # load that arrives during it -> (docs_per_sec, steal_pct).
-            gates.append(_gate_idle_window(f"pair{pair_idx} cpus={cpus}"))
+            # the label carries the retry index: every retried leg's gate is
+            # kept, and only the last retry of a pair reaches all_pairs
+            gates.append(
+                _gate_idle_window(f"pair{pair_idx} retry{retry} cpus={cpus}")
+            )
             cmd = [sys.executable, __file__, "--flagship-only",
                    "--cpus", str(cpus), "--n-docs", str(n_docs),
                    "--media", args.media]
@@ -266,7 +275,8 @@ def main() -> None:
         pairs = []
         for attempt in range(3):  # first pair also warms the page cache
             for retry in range(PAIR_RETRIES + 1):
-                (a, s8), (b, s32) = one_run(8, attempt), one_run(32, attempt)
+                a, s8 = one_run(8, attempt, retry)
+                b, s32 = one_run(32, attempt, retry)
                 if max(s8, s32) <= MAX_LEG_STEAL_PCT or retry == PAIR_RETRIES:
                     if max(s8, s32) > MAX_LEG_STEAL_PCT:
                         print(

@@ -69,7 +69,7 @@ def main(argv=None) -> int:
 
             import ray.data
 
-            from .pipelines.extract import extract
+            from .pipelines.extract import extract, resolve_media
 
             docs = args.docs
             files = (
@@ -77,7 +77,9 @@ def main(argv=None) -> int:
                 if os.path.isdir(docs)
                 else [docs]
             )
-            result = extract(ray.data.read_parquet(files), media_path=args.media)
+            result = extract(
+                ray.data.read_parquet(files), **resolve_media(args.media)
+            )
             result.write_parquet(args.out)
             print(json.dumps({"status": "ok", "out": args.out}))
         elif args.cmd == "run":

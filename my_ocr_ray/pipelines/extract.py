@@ -22,9 +22,10 @@ redistributes a document's span rows by ``media_ref``:
          -> write_parquet / Dataset
 
 Media strategy:
-- ``media_lookup`` (broadcast): the media side table is ``ray.put`` once and
-  read inside each OCR actor's ``__init__`` — a map-side hash join against a
-  small build side. Right when the media table fits in the object store.
+- ``media_lookup`` (broadcast): ``load_media_lookup`` puts the media table
+  and its hash index in the object store once, resolved zero-copy in each
+  OCR actor's ``__init__`` — a map-side hash join against a small build
+  side. Right when the media table fits in the object store.
 - ``media_join``: hash-join span rows against the media Dataset on
   ``media_ref`` (``Dataset.join``) — the scale path when media bytes are far
   larger than memory. Both paths produce identical results (tested).
@@ -49,9 +50,9 @@ from ..stages.route import explode_spans
 from ..stages.textstage import strip_boilerplate
 
 
-def load_media_lookup(media_path: str):
-    """Read the media table and ``ray.put`` it as a (media_ref, bytes) Arrow
-    table.
+def load_media_lookup(media_path):
+    """Read the media table (parquet file / dir / list) and ``ray.put`` it
+    as a (media_ref, bytes) Arrow table: the one broadcast lookup form.
 
     Returns an ObjectRef; every OCR actor resolves it once. Broadcasting the
     ARROW TABLE (not a Python dict) matters: ``ray.get`` of an Arrow table is
@@ -69,20 +70,17 @@ def load_media_lookup(media_path: str):
     import ray
 
     @ray.remote(num_cpus=2)
-    def _build(path):
-        if isinstance(path, (list, tuple)) or os.path.isdir(str(path)):
-            import pyarrow.dataset as pads
+    def _build(files):
+        import pyarrow.dataset as pads
 
-            tbl = pads.dataset(path, format="parquet").to_table(
-                columns=["media_ref", "bytes"]
-            )
-        else:
-            tbl = pq.read_table(path, columns=["media_ref", "bytes"])
         from ..stages.ocrstage import _MediaTableLookup
 
+        tbl = pads.dataset(files, format="parquet").to_table(
+            columns=["media_ref", "bytes"]
+        )
         return _MediaTableLookup.precompute(tbl.combine_chunks())
 
-    return _build.remote(media_path)
+    return _build.remote(_parquet_files(media_path))
 
 
 # average spans per interleaved doc (measured 7.6 on the synthetic corpus);
@@ -99,19 +97,17 @@ MEDIA_BROADCAST_FRACTION = 0.25
 
 
 def choose_media_strategy(
-    media_bytes: Optional[int],
-    object_store_bytes: Optional[int],
-    broadcast_fraction: float = MEDIA_BROADCAST_FRACTION,
+    media_bytes: Optional[int], object_store_bytes: Optional[int]
 ) -> str:
-    """'broadcast' while the media table fits in ``broadcast_fraction`` of
-    the object store, else 'join'. Unknown sizes take the join path — the
+    """'broadcast' while the media table fits in ``MEDIA_BROADCAST_FRACTION``
+    of the object store, else 'join'. Unknown sizes take the join path — the
     safe default at scale (broadcast of an unbounded table is the one
     failure mode that cannot degrade gracefully)."""
     if media_bytes is None or object_store_bytes is None:
         return "join"
     return (
         "broadcast"
-        if media_bytes <= broadcast_fraction * object_store_bytes
+        if media_bytes <= MEDIA_BROADCAST_FRACTION * object_store_bytes
         else "join"
     )
 
@@ -178,7 +174,6 @@ def extract(
     media_lookup_ref=None,
     media_ds=None,
     *,
-    media_path=None,
     ocr_concurrency: Optional[int] = None,
     ocr_batch_size: int = 256,
     on_error: str = "raise",
@@ -191,9 +186,9 @@ def extract(
     every generator. The default plan relies on it: a document's span rows
     never leave the actor call that produced them.
 
-    Media strategy: pass ``media_lookup_ref`` (broadcast) or ``media_ds``
-    (shuffle join) to choose explicitly, or ``media_path`` (parquet file /
-    dir / list) to let :func:`resolve_media` pick from the table's
+    Media strategy: pass ``media_lookup_ref`` (broadcast, from
+    :func:`load_media_lookup`) or ``media_ds`` (shuffle join);
+    ``extract(ds, **resolve_media(path))`` picks one from the media table's
     footer-estimated bytes vs the object store size.
 
     Plan: with a broadcast lookup the plan is exchange-free
@@ -225,13 +220,6 @@ def extract(
     join plan runs on its own copy of ``docs_ds``'s DataContext; the
     caller's is untouched.
     """
-    if media_path is not None:
-        if media_lookup_ref is not None or media_ds is not None:
-            raise ValueError("pass media_path OR media_lookup_ref/media_ds")
-        media = resolve_media(media_path)
-        media_lookup_ref = media.get("media_lookup_ref")
-        media_ds = media.get("media_ds")
-
     cpus = cluster_cpus()
     aggregator_cpu_budget = max(1.0, cpus / 8)
     if ocr_concurrency is None:

@@ -65,6 +65,8 @@ def _distributed_span_metrics(files: list[str]) -> dict:
     partition on the driver — a partition at target scale is huge."""
     import ray.data
 
+    if not files:  # the partition wrote no file
+        return {c: 0 for c in METRIC_COLS}
     partials = ray.data.read_parquet(files, columns=["spans"]).map_batches(
         _metrics_batch, batch_format="pyarrow"
     )
@@ -118,10 +120,10 @@ def run_extract_partitioned(
     """Run all incomplete partitions; returns a summary dict.
 
     Each partition runs ``extract()`` with its defaults (auto-sized OCR
-    pool) and the media strategy ``extract(media_path=...)`` would choose:
-    :func:`resolve_media` runs once, before the partition loop, so a
-    broadcast lookup is loaded once per run and an oversized media table
-    takes the shuffle join on every partition.
+    pool) and the media strategy :func:`resolve_media` chooses for
+    ``media_path``; it runs once, before the partition loop, so a broadcast
+    lookup is loaded once per run and an oversized media table takes the
+    shuffle join on every partition.
 
     ``max_partitions`` bounds how many partitions this invocation processes
     (used by the resume test to simulate a mid-job kill).
@@ -155,13 +157,13 @@ def run_extract_partitioned(
         os.makedirs(pdir, exist_ok=True)
         result.write_parquet(pdir)
         out_files = sorted(glob.glob(os.path.join(pdir, "*.parquet")))
-        metrics = _distributed_span_metrics(out_files) if out_files else {"docs": 0}
+        metrics = _distributed_span_metrics(out_files)
         write_manifest(
             out_dir,
             pid,
             input_files=files,
             rows_in=rows_in,
-            rows_out=metrics.get("docs", 0),
+            rows_out=metrics["docs"],
             metrics=metrics,
             wall_sec=time.time() - t0,
         )

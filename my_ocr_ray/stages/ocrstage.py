@@ -14,8 +14,10 @@ semantics), CTC-decoded (``convertors/ctc.py:85-144`` semantics) with one
 argmax over the batch.
 
 Media bytes come either from a ``bytes`` column (shuffle-join path, big media
-tables) or from a broadcast ``ray.put`` dict (map-side lookup, small media
-tables) — the two strategies of SURVEY.md §2.4.
+tables) or from the broadcast lookup (map-side, small media tables): the
+Arrow table and sorted hash index ``load_media_lookup`` puts in the object
+store once, resolved zero-copy into a :class:`_MediaTableLookup` — the two
+strategies of SURVEY.md §2.4.
 
 The exchange-free plan splits a batch of whole documents in two:
 ``DocOCRStage`` (the actor) recognizes the media spans and rebuilds the
@@ -97,15 +99,12 @@ class _MediaTableLookup:
     build time (np.unique) and fall back to the sorted-string index; lookup
     hits are additionally verified against the true ref string."""
 
-    def __init__(self, tbl: pa.Table, sorted_refs=None, rows=None, width=None):
-        if sorted_refs is None:
-            p = self.precompute(tbl)
-            sorted_refs, rows, width = p["sorted_refs"], p["rows"], p["width"]
+    def __init__(self, table: pa.Table, sorted_refs, rows, width):
         self._sorted = sorted_refs
         self._row = rows
         self._width = width  # None => string index (collision fallback)
-        self._refs = _single_array(tbl["media_ref"])
-        self._bytes = _single_array(tbl["bytes"])
+        self._refs = _single_array(table["media_ref"])
+        self._bytes = _single_array(table["bytes"])
 
     @classmethod
     def precompute(cls, tbl: pa.Table) -> dict:
@@ -141,21 +140,25 @@ class _MediaTableLookup:
         n = len(self._sorted)
         if self._width is not None:
             qa = pa.array(queries, pa.string())
-            too_long = np.asarray(pc.greater(pc.binary_length(qa), self._width))
-            # a query longer than the index width can't be present; blank it
-            # so the fixed-width cast stays valid (the flag forces a miss)
-            qa = pc.if_else(
-                pa.array(too_long), pa.scalar("", pa.string()), qa
-            )
+            nbytes = pc.binary_length(qa)
+            # a query longer than the index width can't be present, nor can
+            # a non-ASCII one (a hash index exists only over all-ASCII refs);
+            # blank both so the fixed-width cast stays valid (the flag
+            # forces a miss)
+            absent = np.asarray(pc.or_(
+                pc.greater(nbytes, self._width),
+                pc.not_equal(nbytes, pc.utf8_length(qa)),
+            ))
+            qa = pc.if_else(pa.array(absent), pa.scalar("", pa.string()), qa)
             q = _hash_ref_strings(qa, self._width)
         else:
             q = np.asarray(queries)
-            too_long = np.zeros(len(q), dtype=bool)
+            absent = np.zeros(len(q), dtype=bool)
         pos = np.searchsorted(self._sorted, q)
         out = []
         for i in range(len(q)):
             p = pos[i]
-            if too_long[i] or p >= n or self._sorted[p] != q[i]:
+            if absent[i] or p >= n or self._sorted[p] != q[i]:
                 out.append(None)
                 continue
             row = int(self._row[p])
@@ -165,47 +168,36 @@ class _MediaTableLookup:
             out.append(self._bytes[row].as_py())
         return out
 
-    def __getitem__(self, ref: str) -> bytes:
-        res = self.lookup_many([ref])[0]
-        if res is None:
-            raise KeyError(ref)
-        return res
 
-    def get(self, ref: str):
-        return self.lookup_many([ref])[0]
+_PAYLOAD_KEYS = {"table", "sorted_refs", "rows", "width"}
 
 
-def resolve_media_lookup(obj):
-    """A resolved broadcast payload -> the media lookup. The precomputed
+def resolve_media_lookup(payload) -> _MediaTableLookup:
+    """``load_media_lookup``'s resolved payload -> the media lookup. The
     payload (Arrow table + sorted hash index, built once by
-    ``load_media_lookup``'s task) resolves zero-copy from plasma, so nothing
-    is rebuilt; bare Arrow tables and plain dicts are also accepted for
-    tests/small corpora."""
-    if isinstance(obj, dict) and "sorted_refs" in obj:
-        return _MediaTableLookup(
-            obj["table"], obj["sorted_refs"], obj["rows"], obj.get("width"),
+    ``_MediaTableLookup.precompute`` in ``load_media_lookup``'s task)
+    resolves zero-copy from plasma, so nothing is rebuilt. Any other object
+    (a dict of refs, a bare table) raises TypeError here rather than deep
+    in :func:`span_bytes`."""
+    if not isinstance(payload, dict) or payload.keys() != _PAYLOAD_KEYS:
+        raise TypeError(
+            "the broadcast media lookup must be load_media_lookup's payload "
+            f"(_MediaTableLookup.precompute), got {type(payload).__name__}"
         )
-    if isinstance(obj, pa.Table):
-        return _MediaTableLookup(obj)
-    return obj
+    return _MediaTableLookup(**payload)
 
 
 def span_bytes(batch: pa.Table, idx: np.ndarray, media, on_error: str) -> list:
     """Payload bytes of the span rows at ``idx``: from the ``bytes`` column
-    (join path) or the media lookup. None marks a miss under ``skip``; a
-    miss under ``raise`` raises KeyError."""
+    (join path) or one batched probe of the media lookup. None marks a miss
+    under ``skip``; a miss under ``raise`` raises KeyError."""
     take = pa.array(idx)
     if "bytes" in batch.column_names:
         # one vectorized take instead of per-row __getitem__/as_py
         return batch["bytes"].combine_chunks().take(take).to_pylist()
     assert media is not None, "no bytes column and no media lookup"
     queries = batch["media_ref"].combine_chunks().take(take).to_pylist()
-    if isinstance(media, _MediaTableLookup):
-        found = media.lookup_many(queries)
-    elif on_error == "skip":
-        found = [media.get(r) for r in queries]
-    else:
-        found = [media[r] for r in queries]
+    found = media.lookup_many(queries)
     if on_error != "skip":
         for r, f in zip(queries, found):
             if f is None:
@@ -260,12 +252,18 @@ def _kind_rows(batch: pa.Table, kind: str) -> np.ndarray:
     )
 
 
+# glyph scale the detector and recognizer run at (the synthetic corpus
+# renders media at ``synth.DEFAULT_SCALE``), and the line-stitching
+# thresholds derived from it
+SCALE = 2
+MAX_X_DIST = 10 * SCALE
+MIN_Y_OVERLAP_RATIO = 0.5
+
+
 class OCRStage:
     def __init__(
         self,
         media_lookup_ref=None,
-        scale: int = 2,
-        min_y_overlap_ratio: float = 0.5,
         on_error: str = "raise",
         preprocessor=None,
         tta_rotations: int = 1,
@@ -286,15 +284,12 @@ class OCRStage:
         # pass ``functions.imgops.TPSPreprocessor`` (stand-in) or any
         # model-backed callable here
         self.preprocessor = preprocessor
-        self.media = None  # dict[str, bytes] | _MediaTableLookup
+        self.media = None  # _MediaTableLookup | None (join path)
         if media_lookup_ref is not None:
             import ray
 
             # one ray.get per actor
             self.media = resolve_media_lookup(ray.get(media_lookup_ref))
-        self.scale = scale
-        self.max_x_dist = 10 * scale
-        self.min_y_overlap_ratio = min_y_overlap_ratio
         if on_error not in ("raise", "skip"):
             raise ValueError(f"on_error must be raise|skip, got {on_error}")
         # "skip" mirrors the reference's broken-sample skip-and-advance loop
@@ -307,9 +302,12 @@ class OCRStage:
 
         self.pdf_decoder = PdfDecoder()
         # long-lived actor state should not be rescanned by cyclic GC on
-        # every hot-loop collection
+        # every hot-loop collection. Collect first: frozen garbage is never
+        # freed, and in a driver that garbage can hold a finished plan's
+        # actor handles, which would keep those actors (and their CPUs)
         import gc
 
+        gc.collect()
         gc.freeze()
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -352,7 +350,7 @@ class OCRStage:
                 failed_slots.add(slot)
                 continue
             ink = binarize(img)
-            for b in detect_word_boxes(img, scale=self.scale):
+            for b in detect_word_boxes(img, scale=SCALE):
                 # detect emits axis-aligned quads [x0,y0,x1,y0,x1,y1,x0,y1]
                 x0, y0, x1, y1 = int(b[0]), int(b[1]), int(b[4]), int(b[5])
                 crop = ink[y0:y1, x0:x1]
@@ -363,7 +361,7 @@ class OCRStage:
 
         texts_per_slot: list[list[dict]] = [[] for _ in images]
         if crops:
-            frames, ratios = word_frame_batch(crops, scale=self.scale)
+            frames, ratios = word_frame_batch(crops, scale=SCALE)
             decoded = ctc_greedy_decode_batch(frames, BLANK_IDX, ratios)
             k_var = len(rots)
             for w, (slot, quad) in enumerate(word_meta):
@@ -379,8 +377,8 @@ class OCRStage:
         for words in texts_per_slot:
             lines = stitch_boxes_into_lines(
                 words,
-                max_x_dist=self.max_x_dist,
-                min_y_overlap_ratio=self.min_y_overlap_ratio,
+                max_x_dist=MAX_X_DIST,
+                min_y_overlap_ratio=MIN_Y_OVERLAP_RATIO,
             )
             ocr_texts.append("\n".join(ln["text"] for ln in lines))
         return ocr_texts, failed_slots

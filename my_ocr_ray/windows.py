@@ -137,7 +137,11 @@ def _hash_parts(ds, keys, rows: int | None = None):
     4x CPUs — the same call that runs 8 partitions at bench scale plans
     hundreds at 100 TB) on aggregator processes that follow rows, within a
     total CPU claim of max(``sizing.AGGREGATOR_CPU_BUDGET``, 0.02 x
-    partitions), so growing data never starves neighbouring actor pools."""
+    partitions), so growing data never starves neighbouring actor pools.
+    The ``SIZING_LOG`` entry is what this call *planned*: Ray builds every
+    operator of a plan with the last dataset's DataContext, so in a
+    one-plan chain the last exchange's context sets every exchange's
+    aggregator count."""
     if rows is None:
         rows = sizing.approx_rows(ds)
     ds, num_partitions = sizing.hash_exchange(ds, rows)
@@ -153,7 +157,7 @@ def _hash_parts(ds, keys, rows: int | None = None):
 # append-only record of every hash exchange (keys, row estimate, chosen
 # partition and aggregator counts) — lets scripts/partition_probe.py
 # document that exchanges grow with data without instrumenting Ray
-# internals.
+# internals. Entries are what each call planned (see ``_hash_parts``).
 SIZING_LOG: list = []
 
 

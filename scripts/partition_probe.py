@@ -7,8 +7,12 @@ Two parts:
    32 CPUs — the partition-count table for BASELINE.md.
 2. A live probe: run exchange-heavy queries at a real sf dir, dump every
    auto-sized exchange from `windows.SIZING_LOG` (estimated rows -> the
-   partition and aggregator counts the plan was given), proving the row
-   estimate reaches the sizer on real plans.
+   partition and aggregator counts each call planned), proving the row
+   estimate reaches the sizer on real plans. An entry is what the call
+   planned, not necessarily what ran: Ray builds every operator of one
+   streaming plan with the last dataset's DataContext, so in a one-plan
+   chain of exchanges the last exchange's context sets every exchange's
+   aggregator count.
 
 Usage: python scripts/partition_probe.py [sf_dir]
 """

@@ -39,17 +39,14 @@ def test_hmean_eval_aggregation(ray_session):
     assert m["recall"] == 0.5 and m["precision"] == 0.5 and m["hmean"] == 0.5
 
 
-def test_extraction_accuracy_end_to_end(ray_session):
+def test_extraction_accuracy_end_to_end(put_media_lookup):
     import ray.data
 
     from my_ocr_ray.pipelines.extract import extract
     from my_ocr_ray.synth import corpus_tables
 
     docs, media, expected = corpus_tables(20, seed=5)
-    lookup = ray_session.put(
-        dict(zip(media["media_ref"].to_pylist(), media["bytes"].to_pylist()))
-    )
-    out = extract(ray.data.from_arrow(docs), media_lookup_ref=lookup)
+    out = extract(ray.data.from_arrow(docs), media_lookup_ref=put_media_lookup(media))
     acc = extraction_accuracy(out, expected)
     assert acc["docs"] == 20
     assert acc["span_equality_rate"] == 1.0
@@ -57,7 +54,7 @@ def test_extraction_accuracy_end_to_end(ray_session):
     assert acc["pdf_spans"] > 0 and acc["pdf_text_acc"] == 1.0
 
 
-def test_error_skip_policy(ray_session):
+def test_error_skip_policy(put_media_lookup):
     import ray.data
 
     from my_ocr_ray.pipelines.extract import extract
@@ -78,7 +75,7 @@ def test_error_skip_policy(ray_session):
     )
     out = extract(
         ray.data.from_arrow(docs),
-        media_lookup_ref=ray_session.put({}),
+        media_lookup_ref=put_media_lookup(),
         on_error="skip",
     ).take_all()
     assert len(out) == 1

@@ -3,12 +3,13 @@
 no ``doc_id`` exchange, hot documents included; only media rows reach the
 OCR actor. The join path keeps its exchange. Every path must produce the
 same documents."""
+import gc
 import os
 
 import pyarrow as pa
 import pytest
 
-from my_ocr_ray.pipelines.extract import extract
+from my_ocr_ray.pipelines.extract import extract, load_media_lookup
 from my_ocr_ray.schema import DOCUMENTS_SCHEMA
 from my_ocr_ray.stages.ocrstage import (
     DocOCRStage,
@@ -33,14 +34,13 @@ def _got_map(rows):
     return {r["doc_id"]: [dict(s) for s in r["spans"]] for r in rows}
 
 
-def _lookup(ray_session, media, corrupt=(), missing=()):
-    table = dict(zip(media["media_ref"].to_pylist(), media["bytes"].to_pylist()))
-    for ref in corrupt:
-        table[ref] = (b"%PDF-1.4 truncated" if ref.startswith("p-")
-                      else b"\x89PNG\r\n\x1a\n not really a png")
-    for ref in missing:
-        del table[ref]
-    return ray_session.put(table)
+def _corrupt(refs):
+    """Replacement bytes for ``refs``: a truncated pdf or a fake png."""
+    return {
+        ref: (b"%PDF-1.4 truncated" if ref.startswith("p-")
+              else b"\x89PNG\r\n\x1a\n not really a png")
+        for ref in refs
+    }
 
 
 def _pdf_refs(media):
@@ -58,13 +58,13 @@ def _operators(ds) -> list[str]:
     return [ln for ln in ds.stats().splitlines() if ln.startswith("Operator")]
 
 
-def _plan_kwargs(ray_session, corpus, path):
+def _plan_kwargs(put_media_lookup, corpus, path):
     _, media, _ = corpus
     if path == "join":
         import ray.data
 
         return {"media_ds": ray.data.from_arrow(media)}
-    return {"media_lookup_ref": _lookup(ray_session, media)}
+    return {"media_lookup_ref": put_media_lookup(media)}
 
 
 def _with_hot_doc(docs, expected, n_spans=3000):
@@ -86,7 +86,7 @@ def _with_hot_doc(docs, expected, n_spans=3000):
     ("join", 1),
     ("hot", 0),
 ])
-def test_plan_shape(ray_session, corpus, path, shuffles):
+def test_plan_shape(put_media_lookup, corpus, path, shuffles):
     """``hot`` is the broadcast path with a 3,000-span document added: it
     takes the same exchange-free plan as every other document."""
     import ray.data
@@ -97,7 +97,7 @@ def test_plan_shape(ray_session, corpus, path, shuffles):
         docs, exp = _with_hot_doc(docs, expected)
     ds = extract(
         ray.data.from_arrow(docs).repartition(4),
-        **_plan_kwargs(ray_session, corpus, path),
+        **_plan_kwargs(put_media_lookup, corpus, path),
     ).materialize()
     ops = _operators(ds)
     assert sum("Shuffle(" in op for op in ops) == shuffles, ops
@@ -112,7 +112,7 @@ def test_plan_shape(ray_session, corpus, path, shuffles):
 
 
 @pytest.mark.parametrize("path", ["broadcast", "join"])
-def test_small_ocr_slices_match_goldens(ray_session, corpus, path):
+def test_small_ocr_slices_match_goldens(put_media_lookup, corpus, path):
     """ocr_batch_size=16 makes documents straddle OCR slices (the corpus
     has a 57-span document); the output must still equal the goldens."""
     import ray.data
@@ -121,12 +121,12 @@ def test_small_ocr_slices_match_goldens(ray_session, corpus, path):
     out = extract(
         ray.data.from_arrow(docs).repartition(4),
         ocr_batch_size=16,
-        **_plan_kwargs(ray_session, corpus, path),
+        **_plan_kwargs(put_media_lookup, corpus, path),
     ).take_all()
     assert _got_map(out) == _expected_map(expected)
 
 
-def test_doc_stage_bounds_ocr_slices(ray_session, corpus, monkeypatch):
+def test_doc_stage_bounds_ocr_slices(put_media_lookup, corpus, monkeypatch):
     """One call on the whole corpus sends only media rows to OCR, in slices
     of at most ``ocr_batch_size`` rows, and passes every other span through
     untouched; ``parse_documents`` after it gives the goldens."""
@@ -139,7 +139,7 @@ def test_doc_stage_bounds_ocr_slices(ray_session, corpus, monkeypatch):
         return span_call(self, batch)
 
     monkeypatch.setattr(OCRStage, "__call__", spy)
-    lookup = _lookup(ray_session, media)
+    lookup = put_media_lookup(media)
     out = DocOCRStage(media_lookup_ref=lookup, ocr_batch_size=16)(docs)
     assert len(slices) > 1 and max(b.num_rows for b in slices) <= 16
     assert all(set(b["kind"].to_pylist()) == {"media"} for b in slices)
@@ -160,20 +160,79 @@ def test_doc_stage_bounds_ocr_slices(ray_session, corpus, monkeypatch):
     assert _got_map(parsed.to_pylist()) == _expected_map(expected)
 
 
-@pytest.mark.parametrize("form", ["dict", "table", "precomputed"])
-def test_parse_resolves_every_lookup_form(ray_session, corpus, form):
-    """The task decodes pdf spans from a plain dict, a bare Arrow table or
-    the precomputed index payload of ``load_media_lookup``."""
+@pytest.mark.parametrize("form", ["precomputed", "loaded"])
+def test_parse_resolves_every_lookup_form(put_media_lookup, corpus, form, tmp_path):
+    """The actor and the task decode from the one lookup form, the index
+    payload: put directly from ``_MediaTableLookup.precompute`` or read
+    from parquet by ``load_media_lookup``."""
+    import pyarrow.parquet as pq
+
     docs, media, expected = corpus
-    table = media.select(["media_ref", "bytes"]).combine_chunks()
-    payload = {
-        "dict": lambda: dict(zip(table["media_ref"].to_pylist(), table["bytes"].to_pylist())),
-        "table": lambda: table,
-        "precomputed": lambda: _MediaTableLookup.precompute(table),
-    }[form]()
-    ref = ray_session.put(payload)
+    if form == "loaded":
+        pq.write_table(media, tmp_path / "media.parquet")
+        ref = load_media_lookup(str(tmp_path))
+    else:
+        ref = put_media_lookup(media)
     out = parse_documents(DocOCRStage(media_lookup_ref=ref)(docs), media_lookup_ref=ref)
     assert _got_map(out.to_pylist()) == _expected_map(expected)
+
+
+@pytest.mark.parametrize("form", ["dict", "table"])
+def test_resolve_rejects_other_lookup_forms(ray_session, corpus, form):
+    """A dict of refs or a bare Arrow table is not a media lookup: resolving
+    it raises TypeError naming ``load_media_lookup``, in the resolver and in
+    the actor's constructor, before any span is read."""
+    _, media, _ = corpus
+    table = media.select(["media_ref", "bytes"]).combine_chunks()
+    refs, data = table["media_ref"].to_pylist(), table["bytes"].to_pylist()
+    stale = dict(zip(refs, data)) if form == "dict" else table
+    with pytest.raises(TypeError, match="load_media_lookup"):
+        resolve_media_lookup(stale)
+    with pytest.raises(TypeError, match="load_media_lookup"):
+        DocOCRStage(media_lookup_ref=ray_session.put(stale))
+
+
+def test_lookup_misses_non_ascii_ref_against_ascii_index(corpus):
+    """A hash index exists only over all-ASCII refs, so a non-ASCII query
+    is a miss like any absent ref, not an Arrow width error; the refs
+    around it still resolve."""
+    _, media, _ = corpus
+    table = media.select(["media_ref", "bytes"]).combine_chunks()
+    lookup = resolve_media_lookup(_MediaTableLookup.precompute(table))
+    assert lookup._width is not None  # the corpus refs are ASCII: hash index
+    first, last = table["media_ref"][0].as_py(), table["media_ref"][-1].as_py()
+    got = lookup.lookup_many([first, "é-1", last, "m-é"])
+    assert got == [table["bytes"][0].as_py(), None, table["bytes"][-1].as_py(), None]
+
+
+def test_non_ascii_media_ref(put_media_lookup, corpus):
+    """A document whose media ref is non-ASCII, run with the production
+    lookup: ``skip`` drops only that span, ``raise`` raises KeyError."""
+    import ray.data
+
+    docs, media, expected = corpus
+    doc = docs.slice(0, 1).to_pylist()[0]
+    spans = doc["spans"] + [{"kind": "media", "text": "", "media_ref": "é-1",
+                             "offset": len(doc["spans"])}]
+    odd = pa.Table.from_pydict(
+        {"doc_id": ["doc-odd-ref"], "spans": [spans]}, schema=DOCUMENTS_SCHEMA
+    )
+    docs_odd = pa.concat_tables([docs.select(["doc_id", "spans"]), odd])
+    lookup = put_media_lookup(media)
+    out = extract(
+        ray.data.from_arrow(docs_odd).repartition(4),
+        media_lookup_ref=lookup,
+        on_error="skip",
+    ).take_all()
+    exp = _expected_map(expected)
+    assert _got_map(out) == {**exp, "doc-odd-ref": exp[doc["doc_id"]]}
+    with pytest.raises(Exception, match="KeyError"):
+        extract(
+            ray.data.from_arrow(docs_odd).repartition(4), media_lookup_ref=lookup
+        ).take_all()
+    # the aborted run's OCR actor lives (holding its CPU) until the cyclic
+    # collector frees the exception's traceback; free it for later tests
+    gc.collect()
 
 
 def test_media_lookup_shares_the_object_store_buffers(ray_session, corpus):
@@ -202,7 +261,7 @@ def test_media_lookup_shares_the_object_store_buffers(ray_session, corpus):
     assert (refs, data) == (stored_refs, stored_data)
 
 
-def test_corrupt_pdf_spans(ray_session, corpus):
+def test_corrupt_pdf_spans(put_media_lookup, corpus):
     """Corrupt pdf bytes: ``skip`` drops exactly those pdf spans, ``raise``
     makes ``extract()`` raise."""
     import ray.data
@@ -211,18 +270,18 @@ def test_corrupt_pdf_spans(ray_session, corpus):
     bad = set(_pdf_refs(media)[::2])
     out = extract(
         ray.data.from_arrow(docs).repartition(4),
-        media_lookup_ref=_lookup(ray_session, media, corrupt=bad),
+        media_lookup_ref=put_media_lookup(media, corrupt=_corrupt(bad)),
         on_error="skip",
     ).take_all()
     assert _got_map(out) == _without(expected, bad)
     with pytest.raises(Exception, match="PDF|/Catalog|NotImplementedError"):
         extract(
             ray.data.from_arrow(docs).repartition(4),
-            media_lookup_ref=_lookup(ray_session, media, corrupt=bad),
+            media_lookup_ref=put_media_lookup(media, corrupt=_corrupt(bad)),
         ).take_all()
 
 
-def test_missing_pdf_ref(ray_session, corpus):
+def test_missing_pdf_ref(put_media_lookup, corpus):
     """A pdf ref absent from the lookup is dropped under ``skip`` and
     raises KeyError under ``raise``."""
     import ray.data
@@ -231,18 +290,18 @@ def test_missing_pdf_ref(ray_session, corpus):
     gone = set(_pdf_refs(media)[:3])
     out = extract(
         ray.data.from_arrow(docs).repartition(4),
-        media_lookup_ref=_lookup(ray_session, media, missing=gone),
+        media_lookup_ref=put_media_lookup(media, missing=gone),
         on_error="skip",
     ).take_all()
     assert _got_map(out) == _without(expected, gone)
     with pytest.raises(Exception, match="KeyError"):
         extract(
             ray.data.from_arrow(docs).repartition(4),
-            media_lookup_ref=_lookup(ray_session, media, missing=gone),
+            media_lookup_ref=put_media_lookup(media, missing=gone),
         ).take_all()
 
 
-def test_killed_ocr_actor_restarts(ray_session, corpus, tmp_path, monkeypatch):
+def test_killed_ocr_actor_restarts(put_media_lookup, corpus, tmp_path, monkeypatch):
     """The OCR actor's process dies on its first call: Ray restarts it from
     its constructor arguments (the media lookup ref, held only by the plan)
     and the job still yields the goldens."""
@@ -263,13 +322,13 @@ def test_killed_ocr_actor_restarts(ray_session, corpus, tmp_path, monkeypatch):
     monkeypatch.setattr(extract_mod, "DocOCRStage", KillOnce)
     out = extract(
         ray.data.from_arrow(docs).repartition(4),
-        media_lookup_ref=_lookup(ray_session, media),
+        media_lookup_ref=put_media_lookup(media),
     ).take_all()
     assert os.path.exists(marker)
     assert _got_map(out) == _expected_map(expected)
 
 
-def test_all_boilerplate_doc_keeps_empty_row(ray_session):
+def test_all_boilerplate_doc_keeps_empty_row(put_media_lookup):
     import ray.data
 
     docs = pa.Table.from_pydict(
@@ -285,14 +344,14 @@ def test_all_boilerplate_doc_keeps_empty_row(ray_session):
         schema=DOCUMENTS_SCHEMA,
     )
     out = extract(
-        ray.data.from_arrow(docs), media_lookup_ref=ray_session.put({})
+        ray.data.from_arrow(docs), media_lookup_ref=put_media_lookup()
     ).take_all()
     got = _got_map(out)
     assert got["boiler"] == [] and got["empty"] == []
     assert [s["text"] for s in got["kept"]] == ["three plain words"]
 
 
-def test_skip_drops_only_corrupted_media_spans(ray_session, corpus):
+def test_skip_drops_only_corrupted_media_spans(put_media_lookup, corpus):
     import ray.data
 
     docs, media, expected = corpus
@@ -300,17 +359,17 @@ def test_skip_drops_only_corrupted_media_spans(ray_session, corpus):
     bad = set(png_refs[::2])
     out = extract(
         ray.data.from_arrow(docs).repartition(4),
-        media_lookup_ref=_lookup(ray_session, media, corrupt=bad),
+        media_lookup_ref=put_media_lookup(media, corrupt=_corrupt(bad)),
         on_error="skip",
     ).take_all()
     assert _got_map(out) == _without(expected, bad)
 
 
-def test_empty_input_block(ray_session, corpus):
+def test_empty_input_block(put_media_lookup, corpus):
     import ray.data
 
     docs, media, expected = corpus
-    lookup = _lookup(ray_session, media)
+    lookup = put_media_lookup(media)
     empty = DocOCRStage(media_lookup_ref=lookup)(docs.slice(0, 0))
     assert empty.num_rows == 0 and empty.schema == DOCUMENTS_SCHEMA
 

@@ -20,7 +20,7 @@ def _got_map(rows):
     return {r["doc_id"]: [dict(s) for s in r["spans"]] for r in rows}
 
 
-def _run(ray_session, corpus, **kwargs):
+def _run(put_media_lookup, corpus, **kwargs):
     import ray.data
 
     docs, media, expected = corpus
@@ -28,19 +28,17 @@ def _run(ray_session, corpus, **kwargs):
     if "media_ds" in kwargs:
         kwargs["media_ds"] = ray.data.from_arrow(media)
     else:
-        kwargs["media_lookup_ref"] = ray_session.put(
-            dict(zip(media["media_ref"].to_pylist(), media["bytes"].to_pylist()))
-        )
+        kwargs["media_lookup_ref"] = put_media_lookup(media)
     out = extract(docs_ds, **kwargs).take_all()  # auto-sized concurrency
     assert _got_map(out) == _expected_map(expected)
 
 
-def test_one_phase(ray_session, corpus):
-    _run(ray_session, corpus)
+def test_one_phase(put_media_lookup, corpus):
+    _run(put_media_lookup, corpus)
 
 
-def test_media_shuffle_join(ray_session, corpus):
-    _run(ray_session, corpus, media_ds=True)
+def test_media_shuffle_join(put_media_lookup, corpus):
+    _run(put_media_lookup, corpus, media_ds=True)
 
 
 def test_corpus_exercises_all_span_kinds(corpus):
@@ -60,21 +58,19 @@ def test_corpus_exercises_all_span_kinds(corpus):
     assert pdf_exp and any("\n" in t for t in pdf_exp)
 
 
-def test_pdf_span_failure_skips(ray_session, corpus):
+def test_pdf_span_failure_skips(put_media_lookup, corpus):
     """A pdf span whose bytes are out-of-profile is skipped (not fatal)
     under on_error='skip', mirroring the media broken-sample policy."""
     import ray.data
 
     docs, media, expected = corpus
-    bad = dict(zip(media["media_ref"].to_pylist(), media["bytes"].to_pylist()))
     # corrupt every pdf payload
-    pdf_refs = [r for r in bad if r.startswith("p-")]
-    for r in pdf_refs:
-        bad[r] = b"not a pdf"
+    pdf_refs = [r for r in media["media_ref"].to_pylist() if r.startswith("p-")]
+    bad = {r: b"not a pdf" for r in pdf_refs}
     docs_ds = ray.data.from_arrow(docs).repartition(4)
     out = extract(
         docs_ds,
-        media_lookup_ref=ray_session.put(bad),
+        media_lookup_ref=put_media_lookup(media, corrupt=bad),
         on_error="skip",
     ).take_all()
     got = _got_map(out)

@@ -1,8 +1,6 @@
 """Auto-selection seam added for the 100-TB story: the broadcast-vs-join
-media strategy switch (``extract(media_path=...)``) must pick the right
-path from the DATA, and both paths must stay golden-equal."""
-import os
-
+media strategy switch (``extract(ds, **resolve_media(path))``) must pick
+the right path from the DATA, and both paths must stay golden-equal."""
 import pytest
 
 from my_ocr_ray.pipelines.extract import (
@@ -10,6 +8,7 @@ from my_ocr_ray.pipelines.extract import (
     choose_media_strategy,
     estimate_parquet_bytes,
     extract,
+    resolve_media,
 )
 from my_ocr_ray.synth import corpus_tables
 
@@ -56,8 +55,8 @@ def _got_map(rows):
 def test_media_path_auto_selects_and_stays_golden(
     ray_session, corpus, tmp_path, monkeypatch
 ):
-    """extract(media_path=...) picks broadcast for a small table, join when
-    the table exceeds the object-store budget — goldens identical on both."""
+    """resolve_media picks broadcast for a small table, join when the table
+    exceeds the object-store budget — goldens identical on both."""
     import pyarrow.parquet as pq
     import ray.data
 
@@ -70,15 +69,15 @@ def test_media_path_auto_selects_and_stays_golden(
     chosen = []
     orig = ex.choose_media_strategy
 
-    def spy(media_bytes, store_bytes, broadcast_fraction=MEDIA_BROADCAST_FRACTION):
-        s = orig(media_bytes, store_bytes, broadcast_fraction)
+    def spy(media_bytes, store_bytes):
+        s = orig(media_bytes, store_bytes)
         chosen.append(s)
         return s
 
     monkeypatch.setattr(ex, "choose_media_strategy", spy)
 
     out_small = extract(
-        ray.data.from_arrow(docs).repartition(4), media_path=str(p)
+        ray.data.from_arrow(docs).repartition(4), **resolve_media(str(p))
     ).take_all()
     assert chosen[-1] == "broadcast"
     assert _got_map(out_small) == _expected_map(expected)
@@ -89,29 +88,14 @@ def test_media_path_auto_selects_and_stays_golden(
     )
     out_big = extract(
         ray.data.from_arrow(docs).repartition(4),
-        media_path=str(p),
+        **resolve_media(str(p)),
     ).take_all()
     assert chosen[-1] == "join"
     assert _got_map(out_big) == _expected_map(expected)
 
 
-def test_media_path_exclusive_with_explicit_strategy(corpus, tmp_path):
-    import pyarrow.parquet as pq
-    import ray.data
-
-    docs, media, _ = corpus
-    p = tmp_path / "media.parquet"
-    pq.write_table(media, p)
-    with pytest.raises(ValueError, match="media_path OR"):
-        extract(
-            ray.data.from_arrow(docs),
-            media_ds=ray.data.from_arrow(media),
-            media_path=str(p),
-        )
-
-
 def test_pathological_doc_rebuilt_without_exchange(
-    ray_session, corpus, monkeypatch
+    put_media_lookup, corpus, monkeypatch
 ):
     """A hot document is one input row like any other: on the broadcast
     path it is rebuilt inside the OCR actor, so the ``doc_id`` exchange
@@ -142,12 +126,9 @@ def test_pathological_doc_rebuilt_without_exchange(
         return orig(*a, **kw)
 
     monkeypatch.setattr(ex, "reassemble_hash", spy)
-    lookup = ray_session.put(
-        dict(zip(media["media_ref"].to_pylist(), media["bytes"].to_pylist()))
-    )
     out = extract(
         ray.data.from_arrow(docs_all).repartition(4),
-        media_lookup_ref=lookup,
+        media_lookup_ref=put_media_lookup(media),
     ).take_all()
     assert not exchanges, "the broadcast plan ran the doc_id exchange"
     got = _got_map(out)

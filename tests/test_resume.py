@@ -1,5 +1,6 @@
 """Resumability: a killed run (simulated by max_partitions) resumes by
 skipping completed partitions and produces exactly the full golden output."""
+import gc
 import os
 
 import pytest
@@ -306,3 +307,74 @@ def test_sigkill_resume_flagship_bench_scale(ray_session, tmp_path):
     assert acc["docs"] == 2000
     assert acc["span_equality_rate"] == 1.0
     assert acc["media_text_acc"] == 1.0
+
+
+def test_runner_empty_input_file(corpus_dirs, ray_session, tmp_path):
+    """An empty input file is a partition like any other: it completes, and
+    its manifest carries every metric column (all zero), the same keys as
+    the full partition's."""
+    import pyarrow.parquet as pq
+
+    docs_dir, media_path, expected = corpus_dirs
+    in_dir = tmp_path / "documents"
+    in_dir.mkdir()
+    docs = pq.read_table(docs_dir)
+    pq.write_table(docs, in_dir / "docs-0000.parquet")
+    pq.write_table(docs.slice(0, 0), in_dir / "docs-0001.parquet")
+    out_dir = str(tmp_path / "out_empty")
+    s = run_extract_partitioned(str(in_dir), media_path, out_dir, num_partitions=2)
+    assert s["completed"] == 2
+    full, empty = (read_manifest(out_dir, pid) for pid in (0, 1))
+    assert full["metrics"].keys() == empty["metrics"].keys()
+    assert set(empty["metrics"].values()) == {0}
+    assert empty["rows_in"] == empty["rows_out"] == 0
+    got, exp = _goldens(expected, read_output(out_dir).take_all())
+    assert got == exp
+
+
+def test_failed_partition_reruns_alone(
+    corpus_dirs, ray_session, tmp_path, monkeypatch
+):
+    """A partition whose extract() raises (a media ref missing from the
+    broadcast lookup, under the default ``raise``) writes no manifest; the
+    next run re-runs only that partition, clearing its stale directory,
+    and the output equals the goldens."""
+    import shutil
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    import my_ocr_ray.pipelines.runner as runner
+    from my_ocr_ray.state.manifest import is_complete, part_dir
+
+    docs_dir, media_path, expected = corpus_dirs
+    in_dir = tmp_path / "documents"
+    shutil.copytree(docs_dir, in_dir)
+    # the last file of the last partition gets a span whose ref is missing
+    bad_file = runner._partition_files(str(in_dir), 3)[-1][-1]
+    good = pq.read_table(bad_file)
+    rows = good.to_pylist()
+    rows[0]["spans"].append({"kind": "media", "text": "", "media_ref": "m-missing",
+                             "offset": len(rows[0]["spans"])})
+    pq.write_table(pa.Table.from_pylist(rows, schema=good.schema), bad_file)
+
+    out_dir = str(tmp_path / "out_fail")
+    with pytest.raises(Exception, match="KeyError"):
+        run_extract_partitioned(str(in_dir), media_path, out_dir, num_partitions=3)
+    # the aborted run's OCR actor lives (holding its CPU) until the cyclic
+    # collector frees the exception's traceback
+    gc.collect()
+    assert completed_partitions(out_dir) == [0, 1]
+    assert not is_complete(out_dir, 2)
+    marker = os.path.join(part_dir(out_dir, 2), "stale-from-failed-run")
+    open(marker, "w").close()
+
+    pq.write_table(good, bad_file)  # mend the input
+    calls = _count_calls(monkeypatch, runner, "extract")
+    s = run_extract_partitioned(str(in_dir), media_path, out_dir, num_partitions=3)
+    assert s["processed_now"] == 1 and len(calls) == 1
+    assert s["completed"] == 3
+    assert not os.path.exists(marker)
+    got, exp = _goldens(expected, read_output(out_dir).take_all())
+    assert got == exp
+    assert read_output(out_dir).count() == len(exp)

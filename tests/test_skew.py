@@ -38,7 +38,7 @@ def _skewed_corpus(n_small: int = 20, big_spans: int = 3000):
     {},
     {"media_ds": "unused"},
 ])
-def test_skewed_doc_reassembles_in_order(ray_session, kwargs):
+def test_skewed_doc_reassembles_in_order(put_media_lookup, kwargs):
     import ray.data
 
     docs = _skewed_corpus()
@@ -48,7 +48,7 @@ def test_skewed_doc_reassembles_in_order(ray_session, kwargs):
         unused = pa.table({"media_ref": ["m-unused"], "bytes": [b""]})
         kwargs = {"media_ds": ray.data.from_arrow(unused)}
     else:
-        kwargs = {"media_lookup_ref": ray_session.put({})}
+        kwargs = {"media_lookup_ref": put_media_lookup()}
     out = extract(
         ray.data.from_arrow(docs).repartition(4),
         **kwargs,
@@ -119,7 +119,7 @@ def test_sessionize_salted_skew_walltime_ratio(ray_session):
     assert sorted(map(dict, salted), key=key) == sorted(map(dict, plain), key=key)
 
 
-def test_flagship_reassembly_skew_walltime_ratio(ray_session):
+def test_flagship_reassembly_skew_walltime_ratio(put_media_lookup):
     """One doc with 1e4 spans vs a balanced corpus at the same span count:
     flagship extract (default reassembly) stays within ~2x wall time."""
     import time
@@ -159,7 +159,7 @@ def test_flagship_reassembly_skew_walltime_ratio(ray_session):
     def run(tbl):
         ds = ray.data.from_arrow(tbl).repartition(8)
         t0 = time.perf_counter()
-        out = extract(ds, media_lookup_ref=ray_session.put({})).materialize()
+        out = extract(ds, media_lookup_ref=put_media_lookup()).materialize()
         return time.perf_counter() - t0, out
 
     run(balanced.slice(0, 5))  # warm
