@@ -147,7 +147,7 @@ def run_flagship(
     shutil.rmtree(out_dir, ignore_errors=True)
 
     t0 = time.time()
-    # granularity ~25 map tasks per CPU: fine enough to feed the actor pool
+    # granularity ~25 map tasks per CPU: fine enough to feed the OCR workers
     # through ramp-up and keep the tail quantum ~4%, coarse enough that
     # per-task dispatch and shuffle messaging (O(blocks x partitions)) stay
     # negligible at low CPU counts

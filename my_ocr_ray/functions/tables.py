@@ -15,16 +15,17 @@ def pull_column_numpy(ds, col: str, dtype=None) -> np.ndarray:
     Only call it on datasets known to fit driver memory (the callers all
     gate on a broadcast row-count threshold first).
 
-    Nulls in the column are rejected: ``to_numpy(zero_copy_only=False)``
-    on a nulled int column silently yields float64 NaN that an int
-    ``astype`` would corrupt into INT_MIN keys.
+    Nulls in a non-float column are rejected: ``to_numpy(zero_copy_only=
+    False)`` on a nulled int column silently yields float64 NaN that an int
+    ``astype`` would corrupt into INT_MIN keys. A float column's nulls come
+    back as NaN, the float null the column can already hold.
     """
     parts = []
     for b in ds.iter_batches(batch_format="pyarrow", batch_size=None):
         if not b.num_rows:
             continue
         c = b[col]
-        if c.null_count:
+        if c.null_count and not pa.types.is_floating(c.type):
             raise ValueError(
                 f"pull_column_numpy: column {col!r} has {c.null_count} nulls"
             )

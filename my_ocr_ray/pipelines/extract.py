@@ -1,14 +1,14 @@
 """The flagship extraction pipeline: interleaved docs -> extracted docs.
 
 Ray-Data shape (SURVEY.md §3.1 "RD shape"). Each input row is one whole
-document, so by default no exchange is needed — a document-level actor
-recognizes the media spans of a batch of documents, and a stateless task
-finishes the rest of the row-local chain on the idle cores:
+document, so by default no exchange is needed — a document-level task
+recognizes the media spans of a batch of documents, and a second task
+finishes the rest of the row-local chain; no actor starts:
 
-    read -> map_batches(DocOCRStage, concurrency=N)  # explode -> OCR media
-                                                     # spans -> rebuild
-         -> map_batches(parse_documents)             # explode -> strip ->
-                                                     # pdf -> rebuild (task)
+    read -> map_batches(DocOCRStage(...))  # task: explode -> OCR media
+                                           # spans -> rebuild
+         -> map_batches(parse_documents)   # task: explode -> strip ->
+                                           # pdf -> rebuild
          -> write_parquet / Dataset
 
 The ``doc_id`` exchange runs only on the ``media_ds`` shuffle join, which
@@ -24,8 +24,8 @@ redistributes a document's span rows by ``media_ref``:
 Media strategy:
 - ``media_lookup`` (broadcast): ``load_media_lookup`` puts the media table
   and its hash index in the object store once, resolved zero-copy in each
-  OCR actor's ``__init__`` — a map-side hash join against a small build
-  side. Right when the media table fits in the object store.
+  OCR task call — a map-side hash join against a small build side. Right
+  when the media table fits in the object store.
 - ``media_join``: hash-join span rows against the media Dataset on
   ``media_ref`` (``Dataset.join``) — the scale path when media bytes are far
   larger than memory. Both paths produce identical results (tested).
@@ -54,18 +54,19 @@ def load_media_lookup(media_path):
     """Read the media table (parquet file / dir / list) and ``ray.put`` it
     as a (media_ref, bytes) Arrow table: the one broadcast lookup form.
 
-    Returns an ObjectRef; every OCR actor resolves it once. Broadcasting the
+    Returns an ObjectRef; every OCR task call resolves it. Broadcasting the
     ARROW TABLE (not a Python dict) matters: ``ray.get`` of an Arrow table is
-    zero-copy out of plasma, so the image bytes are shared across all actors
-    on a node instead of deserialized per actor. The sorted hash index
-    (``_MediaTableLookup.precompute``) is built once, here, and travels with
-    the table: actors resolve it zero-copy and rebuild nothing.
+    zero-copy out of plasma, so the image bytes are shared across all
+    workers on a node instead of deserialized per worker. The sorted hash
+    index (``_MediaTableLookup.precompute``) is built once, here, and
+    travels with the table: workers resolve it zero-copy and rebuild
+    nothing.
 
     The read + index build runs in a detached Ray TASK, not on the driver:
     at 1.6M docs (3.9M media rows, 1.8 GB) the build is ~6s of serial work
     that would otherwise sit on the critical path before the pipeline can
-    even start — as a task it overlaps the read/actor-pool ramp-up, and the
-    OCR actors block in ``__init__``'s ``ray.get`` only if they win the race.
+    even start — as a task it overlaps the read, and the OCR tasks block in
+    their ``ray.get`` only if they win the race.
     """
     import ray
 
@@ -174,7 +175,6 @@ def extract(
     media_lookup_ref=None,
     media_ds=None,
     *,
-    ocr_concurrency: Optional[int] = None,
     ocr_batch_size: int = 256,
     on_error: str = "raise",
     ocr_stage_kwargs: Optional[dict] = None,
@@ -184,7 +184,7 @@ def extract(
     Input contract: one row of ``docs_ds`` is one whole document — a
     ``doc_id`` appears in exactly one row, as in the documents schema and
     every generator. The default plan relies on it: a document's span rows
-    never leave the actor call that produced them.
+    never leave the task call that produced them.
 
     Media strategy: pass ``media_lookup_ref`` (broadcast, from
     :func:`load_media_lookup`) or ``media_ds`` (shuffle join);
@@ -192,22 +192,21 @@ def extract(
     footer-estimated bytes vs the object store size.
 
     Plan: with a broadcast lookup the plan is exchange-free
-    (``read -> DocOCRStage -> parse_documents -> write``): each actor call
-    explodes a batch of ``ocr_batch_size // EST_SPANS_PER_DOC`` documents,
-    OCRs their media spans (in slices of at most ``ocr_batch_size`` rows)
-    and rebuilds them; a stateless task then strips boilerplate, extracts
-    HTML, decodes pdf spans and rebuilds again. Ray Data does not fuse an
-    actor operator into the task after it, so the task runs beside the
-    actor and fuses into the write. Only the
-    ``media_ds`` join scatters a document's span rows, so only it pays the
-    ``doc_id`` hash exchange. A hot document is one input row like any
-    other and takes the plan its media strategy selects.
+    (``read -> DocOCRStage -> parse_documents -> write``) and starts no
+    actor: each ``DocOCRStage`` task explodes a batch of
+    ``ocr_batch_size // EST_SPANS_PER_DOC`` documents, OCRs their media
+    spans (in slices of at most ``ocr_batch_size`` rows) and rebuilds them;
+    a second task then strips boilerplate, extracts HTML, decodes pdf spans
+    and rebuilds again, fused into the write. Only the ``media_ds`` join
+    scatters a document's span rows, so only it pays the ``doc_id`` hash
+    exchange. A hot document is one input row like any other and takes the
+    plan its media strategy selects.
 
-    Resource auto-sizing (``my_ocr_ray.sizing``): the OCR actor pool, the
-    hash-shuffle aggregators and the join aggregators must all fit on the
-    cluster simultaneously or the streaming executor stalls — when
-    ``ocr_concurrency`` is None it is sized to what's left after reserving
-    for shuffles and IO tasks.
+    Resource fit on the join plan (``my_ocr_ray.sizing``): the OCR actor
+    pool, the hash-shuffle aggregators and the join aggregators must all
+    fit on the cluster simultaneously or the streaming executor stalls —
+    the pool is sized to what's left after reserving for both exchanges'
+    aggregators and the IO tasks.
 
     Shuffle sizing: the partition count (shared by the join and the
     ``doc_id`` exchange) scales with the INPUT SIZE (estimated span rows /
@@ -221,31 +220,25 @@ def extract(
     caller's is untouched.
     """
     cpus = cluster_cpus()
-    aggregator_cpu_budget = max(1.0, cpus / 8)
-    if ocr_concurrency is None:
-        # kept identical on the exchange-free path: pool sizing is its own
-        # decision (a 2-actor pool on 4 CPUs stalled streaming jobs)
-        reserve = 2 + aggregator_cpu_budget
-        if media_ds is not None:
-            reserve += aggregator_cpu_budget
-        ocr_concurrency = actor_pool(reserve)
-    stage_kwargs = {
-        "media_lookup_ref": media_lookup_ref,
-        "on_error": on_error,
-        # stage extension seam (rotation TTA, preprocessor, ...)
-        **(ocr_stage_kwargs or {}),
-    }
-
     if media_ds is None:
-        # no step scatters a document's span rows: no doc_id exchange. Only
-        # media recognition waits on the actor; the rest runs in a task
+        # no step scatters a document's span rows: no doc_id exchange, and
+        # no actor: the OCR step is a callable instance, run as tasks.
+        # Ray Data fuses two task operators only when their pool sizes are
+        # equal; parse_documents and the write run unbounded, so bounding
+        # this operator at the cluster's CPUs (no more of its tasks could
+        # run at once anyway) keeps it its own operator, named for the OCR
+        # step, instead of fused into parse_documents' write
         return docs_ds.map_batches(
-            DocOCRStage,
-            fn_constructor_kwargs={**stage_kwargs, "ocr_batch_size": ocr_batch_size},
+            DocOCRStage(
+                media_lookup_ref=media_lookup_ref,
+                on_error=on_error,
+                ocr_batch_size=ocr_batch_size,
+                ocr_stage_kwargs=ocr_stage_kwargs,
+            ),
             batch_format="pyarrow",
             batch_size=max(1, ocr_batch_size // EST_SPANS_PER_DOC),
             zero_copy_batch=True,
-            concurrency=ocr_concurrency,
+            concurrency=cpus,
         ).map_batches(
             parse_documents,
             fn_kwargs={"media_lookup_ref": media_lookup_ref, "on_error": on_error},
@@ -254,6 +247,7 @@ def extract(
             zero_copy_batch=True,
         )
 
+    aggregator_cpu_budget = max(1.0, cpus / 8)
     n_docs = approx_rows(docs_ds)
     span_rows = None if n_docs is None else n_docs * EST_SPANS_PER_DOC
     shuffle_partitions = hash_partitions(span_rows, cpus, floor=max(2, cpus // 2))
@@ -280,10 +274,16 @@ def extract(
     )
     processed = spans.map_batches(
         OCRStage,
-        fn_constructor_kwargs=stage_kwargs,
+        fn_constructor_kwargs={
+            "media_lookup_ref": media_lookup_ref,
+            "on_error": on_error,
+            # stage extension seam (rotation TTA, preprocessor, ...)
+            **(ocr_stage_kwargs or {}),
+        },
         batch_format="pyarrow",
         batch_size=ocr_batch_size,
-        concurrency=ocr_concurrency,
+        # the IO tasks and both exchanges' aggregators run beside the pool
+        concurrency=actor_pool(2 + 2 * aggregator_cpu_budget),
     )
 
     return reassemble_hash(processed, num_partitions=shuffle_partitions)

@@ -582,9 +582,6 @@ def _golden_accuracy(sf_dir: str, n_docs_cap: int, **ocr_stage_kwargs):
             sorted(glob.glob(f"{corpus}/documents/*.parquet"))
         ),
         media_lookup_ref=lookup,
-        # small eval input: the cluster-sized actor pool would be pure
-        # startup cost, so cap it
-        ocr_concurrency=4,
         **({"ocr_stage_kwargs": ocr_stage_kwargs} if ocr_stage_kwargs else {}),
     )
     expected = pads.dataset(

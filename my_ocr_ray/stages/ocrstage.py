@@ -1,10 +1,20 @@
-"""OCR actor-pool stage: decode -> detect -> crop -> recognize -> stitch.
+"""OCR stages: decode -> detect -> crop -> recognize -> stitch.
 
 The Ray-Data-native form of the reference's two-stage flow
-(``mmocr/utils/ocr.py:146-201``): a callable CLASS for
-``map_batches(OCRStage, concurrency=N, batch_size=B)`` — model state (glyph
-templates, the broadcast media lookup) is built once per actor in
-``__init__``; ``__call__`` handles one Arrow batch of span rows.
+(``mmocr/utils/ocr.py:146-201``). :class:`SpanOCR` recognizes one Arrow
+batch of span rows; the recognizer's model (glyph templates) is
+module-level state of ``functions/ocr.py``, so a reused Ray worker keeps it
+across calls and jobs. Two plans drive it:
+
+- the media-join plan runs :class:`OCRStage`, a callable CLASS for
+  ``map_batches(OCRStage, concurrency=N, batch_size=B)``: a stateful actor
+  pool over span rows that carry their ``bytes`` column;
+- the exchange-free plan runs :class:`DocOCRStage`, a callable INSTANCE
+  that Ray Data runs as stateless tasks: it recognizes the media spans of a
+  batch of whole documents and rebuilds them, passing text, html and pdf
+  spans through untouched; the task :func:`parse_documents` then strips
+  boilerplate, extracts HTML and decodes pdf spans. No actor starts on this
+  plan, so no job waits for one to boot.
 
 Recognition is batch-at-a-time: every word crop of a call (TTA variants and
 preprocessor output included) is glyph-segmented in one padded-strip pass,
@@ -18,13 +28,6 @@ tables) or from the broadcast lookup (map-side, small media tables): the
 Arrow table and sorted hash index ``load_media_lookup`` puts in the object
 store once, resolved zero-copy into a :class:`_MediaTableLookup` — the two
 strategies of SURVEY.md §2.4.
-
-The exchange-free plan splits a batch of whole documents in two:
-``DocOCRStage`` (the actor) recognizes the media spans and rebuilds the
-documents, passing text, html and pdf spans through untouched; the
-stateless task :func:`parse_documents` then strips boilerplate, extracts
-HTML and decodes pdf spans on the cores the actor leaves idle. Only media
-recognition, which needs the actor's model state, waits on the actor.
 """
 from __future__ import annotations
 
@@ -110,9 +113,9 @@ class _MediaTableLookup:
     def precompute(cls, tbl: pa.Table) -> dict:
         """One-time index build (in ``load_media_lookup``'s task): returns
         the broadcast payload. The numpy arrays resolve zero-copy from
-        plasma, so actor init is O(1) instead of an O(n log n) per-actor
-        rebuild (at 2.8M refs the per-actor rebuild dominated pool
-        ramp-up)."""
+        plasma, so resolving it in an actor or task is O(1) instead of an
+        O(n log n) rebuild per process (at 2.8M refs the per-actor rebuild
+        dominated pool ramp-up)."""
         import pyarrow.compute as _pc
 
         refs_col = tbl["media_ref"]
@@ -185,6 +188,16 @@ def resolve_media_lookup(payload) -> _MediaTableLookup:
             f"(_MediaTableLookup.precompute), got {type(payload).__name__}"
         )
     return _MediaTableLookup(**payload)
+
+
+def get_media_lookup(media_lookup_ref) -> "_MediaTableLookup | None":
+    """The broadcast lookup behind ``media_lookup_ref`` (None without one):
+    ``resolve_media_lookup(ray.get(ref))``, zero-copy out of plasma."""
+    if media_lookup_ref is None:
+        return None
+    import ray
+
+    return resolve_media_lookup(ray.get(media_lookup_ref))
 
 
 def span_bytes(batch: pa.Table, idx: np.ndarray, media, on_error: str) -> list:
@@ -260,10 +273,15 @@ MAX_X_DIST = 10 * SCALE
 MIN_Y_OVERLAP_RATIO = 0.5
 
 
-class OCRStage:
+class SpanOCR:
+    """Span-row recognition over an already-resolved media source: media
+    rows are OCRed, pdf rows decoded, every other row passes through. Holds
+    no Ray state, so a task can build one per call (:class:`DocOCRStage`)
+    and the actor keeps one for its lifetime (:class:`OCRStage`)."""
+
     def __init__(
         self,
-        media_lookup_ref=None,
+        media=None,
         on_error: str = "raise",
         preprocessor=None,
         tta_rotations: int = 1,
@@ -280,16 +298,11 @@ class OCRStage:
         self.tta_rotations = tta_rotations
         # recognition-preprocessor seam (TPS rectification in the reference,
         # ``tps_preprocessor.py:25-82``): a callable applied to each word
-        # crop before frame extraction, constructed once per actor —
-        # pass ``functions.imgops.TPSPreprocessor`` (stand-in) or any
+        # crop before frame extraction — pass
+        # ``functions.imgops.TPSPreprocessor`` (stand-in) or any
         # model-backed callable here
         self.preprocessor = preprocessor
-        self.media = None  # _MediaTableLookup | None (join path)
-        if media_lookup_ref is not None:
-            import ray
-
-            # one ray.get per actor
-            self.media = resolve_media_lookup(ray.get(media_lookup_ref))
+        self.media = media  # _MediaTableLookup | None (join path)
         if on_error not in ("raise", "skip"):
             raise ValueError(f"on_error must be raise|skip, got {on_error}")
         # "skip" mirrors the reference's broken-sample skip-and-advance loop
@@ -297,18 +310,10 @@ class OCRStage:
         # dropped (the doc still reassembles without it).
         self.on_error = on_error
         # pdf-span reduction state (north star: PDF layout parsing inside
-        # the flagship): decoder built once per actor like the glyph state
+        # the flagship)
         from ..sources.pdf import PdfDecoder
 
         self.pdf_decoder = PdfDecoder()
-        # long-lived actor state should not be rescanned by cyclic GC on
-        # every hot-loop collection. Collect first: frozen garbage is never
-        # freed, and in a driver that garbage can hold a finished plan's
-        # actor handles, which would keep those actors (and their CPUs)
-        import gc
-
-        gc.collect()
-        gc.freeze()
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         media_idx = _kind_rows(batch, "media")
@@ -389,9 +394,36 @@ def _project_span_rows(batch: pa.Table) -> pa.Table:
     return batch.select(keep)
 
 
-class DocOCRStage(OCRStage):
-    """Document-level OCR actor of the exchange-free plan: explode ->
+class OCRStage(SpanOCR):
+    """OCR actor of the media-join plan:
+    ``map_batches(OCRStage, concurrency=N)`` over span rows that carry their
+    ``bytes`` column. A broadcast ``media_lookup_ref`` is resolved once, in
+    ``__init__``."""
+
+    def __init__(self, media_lookup_ref=None, on_error: str = "raise", **kwargs):
+        super().__init__(get_media_lookup(media_lookup_ref), on_error, **kwargs)
+        # long-lived actor state should not be rescanned by cyclic GC on
+        # every hot-loop collection. Collect first: frozen garbage is never
+        # freed, and in a driver that garbage can hold a finished plan's
+        # actor handles, which would keep those actors (and their CPUs)
+        import gc
+
+        gc.collect()
+        gc.freeze()
+
+
+class DocOCRStage:
+    """Document-level OCR task of the exchange-free plan: explode ->
     recognize the media spans -> rebuild, in one call.
+
+    A callable instance, so Ray Data runs it as stateless tasks on any idle
+    worker (``map_batches(DocOCRStage(...))``): no actor process starts per
+    ``extract()`` call. It carries only the lookup ref and its config, and
+    is pickled into every task. The recognizer's model is module-level glyph
+    tables, which a reused worker process keeps anyway; each call resolves
+    the broadcast lookup zero-copy and holds nothing after it returns, so
+    no finished job's media table stays pinned. A lookup that is not
+    ``load_media_lookup``'s payload raises ``TypeError`` on the first call.
 
     Input contract: one input row is one whole document — a ``doc_id``
     appears in exactly one row, as in the documents schema and every
@@ -400,7 +432,7 @@ class DocOCRStage(OCRStage):
     and is left out of the plan (the reference detects, recognizes and
     stitches one document in one process, ``mmocr/utils/ocr.py:193-199``).
 
-    Only ``kind == "media"`` rows reach :meth:`OCRStage.__call__`, in slices
+    Only ``kind == "media"`` rows reach :meth:`SpanOCR.__call__`, in slices
     of at most ``ocr_batch_size`` rows (slices may straddle documents), so a
     document with thousands of spans keeps the span-row path's batch and
     memory bound. Text, html and pdf spans pass through untouched for
@@ -408,18 +440,31 @@ class DocOCRStage(OCRStage):
     and the roster row keeps its document.
     """
 
-    def __init__(self, *args, ocr_batch_size: int = 256, **kwargs):
-        super().__init__(*args, **kwargs)
+    def __init__(
+        self,
+        media_lookup_ref=None,
+        on_error: str = "raise",
+        ocr_batch_size: int = 256,
+        ocr_stage_kwargs: dict | None = None,
+    ):
+        self.media_lookup_ref = media_lookup_ref
+        self.on_error = on_error
         self.ocr_batch_size = ocr_batch_size
+        # stage extension seam (rotation TTA, preprocessor, ...)
+        self.ocr_stage_kwargs = dict(ocr_stage_kwargs or {})
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        stage = SpanOCR(
+            get_media_lookup(self.media_lookup_ref), self.on_error,
+            **self.ocr_stage_kwargs,
+        )
         rows = explode_spans(batch, with_sentinel=True)
         is_media = pc.equal(rows["kind"], "media")
-        media = rows.filter(is_media)
+        media_rows = rows.filter(is_media)
         step = self.ocr_batch_size
         parts = [rows.filter(pc.invert(is_media))] + [
-            OCRStage.__call__(self, media.slice(i, step))
-            for i in range(0, media.num_rows, step)
+            stage(media_rows.slice(i, step))
+            for i in range(0, media_rows.num_rows, step)
         ]
         return _build_doc_rows(pa.concat_tables(parts))
 
@@ -429,8 +474,8 @@ def parse_documents(
 ) -> pa.Table:
     """Task half of the exchange-free plan, after :class:`DocOCRStage`:
     explode -> strip boilerplate + extract HTML -> decode pdf spans from
-    the broadcast lookup -> rebuild. Stateless, so it runs as Ray tasks on
-    the cores the OCR actor leaves idle, and fuses into the write.
+    the broadcast lookup -> rebuild. A stateless function: Ray Data fuses
+    it into the write.
 
     The name must contain no operator fragment the benchmark maps by
     (``OCRStage``, ``Write``, ...), so its fused operator maps to the
@@ -440,13 +485,9 @@ def parse_documents(
     if pdf_idx.size:
         from ..sources.pdf import PdfDecoder
 
-        media = None
-        if media_lookup_ref is not None:
-            import ray
-
-            media = resolve_media_lookup(ray.get(media_lookup_ref))
         texts, failed = decode_pdf_spans(
-            span_bytes(rows, pdf_idx, media, on_error), PdfDecoder(), on_error
+            span_bytes(rows, pdf_idx, get_media_lookup(media_lookup_ref), on_error),
+            PdfDecoder(), on_error,
         )
         rows = _fill_texts(rows, pdf_idx, texts, failed)
     return _build_doc_rows(rows)

@@ -1,10 +1,12 @@
 """Exchange-free extraction plan: with a broadcast media lookup
 ``extract()`` runs ``read -> DocOCRStage -> parse_documents -> write`` with
-no ``doc_id`` exchange, hot documents included; only media rows reach the
-OCR actor. The join path keeps its exchange. Every path must produce the
-same documents."""
+no ``doc_id`` exchange, hot documents included, and starts no actor: both
+steps are Ray tasks, and only media rows reach OCR. The join path keeps its
+exchange and its ``OCRStage`` actor pool. Every path must produce the same
+documents."""
 import gc
 import os
+import time
 
 import pyarrow as pa
 import pytest
@@ -14,6 +16,7 @@ from my_ocr_ray.schema import DOCUMENTS_SCHEMA
 from my_ocr_ray.stages.ocrstage import (
     DocOCRStage,
     OCRStage,
+    SpanOCR,
     _MediaTableLookup,
     parse_documents,
     resolve_media_lookup,
@@ -58,6 +61,14 @@ def _operators(ds) -> list[str]:
     return [ln for ln in ds.stats().splitlines() if ln.startswith("Operator")]
 
 
+def _physical_plan(ds) -> str:
+    """The physical operators Ray Data runs for ``ds``, after fusion, e.g.
+    ``TaskPoolMapOperator[MapBatches(DocOCRStage)] -> ...``."""
+    from ray.data._internal.logical.optimizers import get_execution_plan
+
+    return get_execution_plan(ds._logical_plan).dag.dag_str
+
+
 def _plan_kwargs(put_media_lookup, corpus, path):
     _, media, _ = corpus
     if path == "join":
@@ -98,16 +109,24 @@ def test_plan_shape(put_media_lookup, corpus, path, shuffles):
     ds = extract(
         ray.data.from_arrow(docs).repartition(4),
         **_plan_kwargs(put_media_lookup, corpus, path),
-    ).materialize()
+    )
+    physical = _physical_plan(ds)
+    ds = ds.materialize()
     ops = _operators(ds)
     assert sum("Shuffle(" in op for op in ops) == shuffles, ops
     assert any("OCRStage" in op for op in ops), ops
     if path != "join":
         assert any("DocOCRStage" in op for op in ops), ops
         assert any("parse_documents" in op for op in ops), ops
+        # both steps run as tasks, each its own operator: the OCR step is
+        # never fused into the task after it, and no actor pool exists
+        assert "TaskPoolMapOperator[MapBatches(DocOCRStage)] -> " \
+            "TaskPoolMapOperator[MapBatches(parse_documents)]" in physical, physical
+        assert "ActorPoolMapOperator" not in physical, physical
     else:
         assert any("Join(" in op for op in ops), ops
         assert not any("parse_documents" in op for op in ops), ops
+        assert "ActorPoolMapOperator[MapBatches(OCRStage)]" in physical, physical
     assert _got_map(ds.take_all()) == exp
 
 
@@ -132,13 +151,13 @@ def test_doc_stage_bounds_ocr_slices(put_media_lookup, corpus, monkeypatch):
     untouched; ``parse_documents`` after it gives the goldens."""
     docs, media, expected = corpus
     slices = []
-    span_call = OCRStage.__call__
+    span_call = SpanOCR.__call__
 
     def spy(self, batch):
         slices.append(batch)
         return span_call(self, batch)
 
-    monkeypatch.setattr(OCRStage, "__call__", spy)
+    monkeypatch.setattr(SpanOCR, "__call__", spy)
     lookup = put_media_lookup(media)
     out = DocOCRStage(media_lookup_ref=lookup, ocr_batch_size=16)(docs)
     assert len(slices) > 1 and max(b.num_rows for b in slices) <= 16
@@ -180,16 +199,20 @@ def test_parse_resolves_every_lookup_form(put_media_lookup, corpus, form, tmp_pa
 @pytest.mark.parametrize("form", ["dict", "table"])
 def test_resolve_rejects_other_lookup_forms(ray_session, corpus, form):
     """A dict of refs or a bare Arrow table is not a media lookup: resolving
-    it raises TypeError naming ``load_media_lookup``, in the resolver and in
-    the actor's constructor, before any span is read."""
-    _, media, _ = corpus
+    it raises TypeError naming ``load_media_lookup``, in the resolver, in
+    the OCR actor's constructor and on the OCR task's first call (the task
+    carries only the ref until then), before any span is read."""
+    docs, media, _ = corpus
     table = media.select(["media_ref", "bytes"]).combine_chunks()
     refs, data = table["media_ref"].to_pylist(), table["bytes"].to_pylist()
     stale = dict(zip(refs, data)) if form == "dict" else table
     with pytest.raises(TypeError, match="load_media_lookup"):
         resolve_media_lookup(stale)
     with pytest.raises(TypeError, match="load_media_lookup"):
-        DocOCRStage(media_lookup_ref=ray_session.put(stale))
+        OCRStage(media_lookup_ref=ray_session.put(stale))
+    task = DocOCRStage(media_lookup_ref=ray_session.put(stale))
+    with pytest.raises(TypeError, match="load_media_lookup"):
+        task(docs)
 
 
 def test_lookup_misses_non_ascii_ref_against_ascii_index(corpus):
@@ -230,9 +253,6 @@ def test_non_ascii_media_ref(put_media_lookup, corpus):
         extract(
             ray.data.from_arrow(docs_odd).repartition(4), media_lookup_ref=lookup
         ).take_all()
-    # the aborted run's OCR actor lives (holding its CPU) until the cyclic
-    # collector frees the exception's traceback; free it for later tests
-    gc.collect()
 
 
 def test_media_lookup_shares_the_object_store_buffers(ray_session, corpus):
@@ -301,31 +321,101 @@ def test_missing_pdf_ref(put_media_lookup, corpus):
         ).take_all()
 
 
-def test_killed_ocr_actor_restarts(put_media_lookup, corpus, tmp_path, monkeypatch):
-    """The OCR actor's process dies on its first call: Ray restarts it from
-    its constructor arguments (the media lookup ref, held only by the plan)
-    and the job still yields the goldens."""
-    import ray.data
+def _dies_on_first_call(stage_cls, marker):
+    """``stage_cls`` whose first call, in whichever process runs it, kills
+    that process (``marker`` records that it happened)."""
 
-    from my_ocr_ray.pipelines import extract as extract_mod
-
-    docs, media, expected = corpus
-    marker = str(tmp_path / "killed")
-
-    class KillOnce(DocOCRStage):
+    class KillOnce(stage_cls):
         def __call__(self, batch):
             if not os.path.exists(marker):
                 open(marker, "w").close()
                 os._exit(1)
             return super().__call__(batch)
 
-    monkeypatch.setattr(extract_mod, "DocOCRStage", KillOnce)
+    return KillOnce
+
+
+def test_killed_ocr_task_worker_retries(put_media_lookup, corpus, tmp_path, monkeypatch):
+    """The worker process running an OCR task dies on its first call: Ray
+    Data retries the task on another worker (the task carries the media
+    lookup ref) and the job still yields the goldens."""
+    import ray.data
+
+    from my_ocr_ray.pipelines import extract as extract_mod
+
+    docs, media, expected = corpus
+    marker = str(tmp_path / "killed")
+    monkeypatch.setattr(extract_mod, "DocOCRStage", _dies_on_first_call(DocOCRStage, marker))
     out = extract(
         ray.data.from_arrow(docs).repartition(4),
         media_lookup_ref=put_media_lookup(media),
     ).take_all()
     assert os.path.exists(marker)
     assert _got_map(out) == _expected_map(expected)
+
+
+def test_killed_ocr_actor_restarts(corpus, tmp_path, monkeypatch):
+    """The join plan's OCR actor dies on its first call: Ray restarts it
+    from its constructor arguments and retries the batch, and the job still
+    yields the goldens."""
+    import ray.data
+
+    from my_ocr_ray.pipelines import extract as extract_mod
+
+    docs, media, expected = corpus
+    marker = str(tmp_path / "killed")
+    monkeypatch.setattr(extract_mod, "OCRStage", _dies_on_first_call(OCRStage, marker))
+    out = extract(
+        ray.data.from_arrow(docs).repartition(4),
+        media_ds=ray.data.from_arrow(media),
+    ).take_all()
+    assert os.path.exists(marker)
+    assert _got_map(out) == _expected_map(expected)
+
+
+def _wait_all_cpus_free(ray, timeout_s=20.0) -> bool:
+    total = ray.cluster_resources()["CPU"]
+    deadline = time.monotonic() + timeout_s
+    while time.monotonic() < deadline:
+        if ray.available_resources().get("CPU", 0) == total:
+            return True
+        time.sleep(0.1)
+    return False
+
+
+def test_broadcast_plan_leaves_no_actor_behind(ray_session, put_media_lookup, corpus):
+    """With the driver's cyclic GC off (a long-lived driver between
+    collections), a finished broadcast extract() leaves no OCR actor alive
+    and every CPU free, so a media-join extract() right after it runs to the
+    goldens. A finished plan's actors are freed only by a collection; the
+    broadcast plan starts none."""
+    import ray.data
+    from ray._private import state
+
+    docs, media, expected = corpus
+    gc.collect()  # earlier tests' finished plans
+    assert _wait_all_cpus_free(ray_session)
+    before = set(state.actors())
+    gc.disable()
+    try:
+        extract(
+            ray.data.from_arrow(docs).repartition(4),
+            media_lookup_ref=put_media_lookup(media),
+        ).materialize()
+        alive = [
+            a["ActorClassName"] for aid, a in state.actors().items()
+            if aid not in before and a["State"] != "DEAD"
+        ]
+        assert not [name for name in alive if "OCRStage" in name], alive
+        assert _wait_all_cpus_free(ray_session), ray_session.available_resources()
+        out = extract(
+            ray.data.from_arrow(docs).repartition(4),
+            media_ds=ray.data.from_arrow(media),
+        ).take_all()
+        assert _got_map(out) == _expected_map(expected)
+    finally:
+        gc.enable()
+        gc.collect()  # the join plan's actors
 
 
 def test_all_boilerplate_doc_keeps_empty_row(put_media_lookup):

@@ -121,3 +121,30 @@ def test_agg_named_order_proof():
     flipped = g.select(sorted(g.column_names, reverse=True))
     out2 = agg_named(flipped, {"k": "key", "c_sum": "total", "count_all": "n"})
     assert out2.to_pylist() == out.to_pylist()
+
+
+def test_pull_column_numpy_rejects_nulls_in_int_column(ray_session):
+    """A null in an int key column would come back as NaN and turn into an
+    INT_MIN key under ``astype``: rejected, naming the column."""
+    import ray.data
+
+    from my_ocr_ray.functions.tables import pull_column_numpy
+
+    ds = ray.data.from_arrow(pa.table({"key": pa.array([3, None, 5], pa.int64())}))
+    with pytest.raises(ValueError, match="'key' has 1 nulls"):
+        pull_column_numpy(ds, "key", np.int64)
+    clean = ray.data.from_arrow(pa.table({"key": pa.array([3, 4], pa.int64())}))
+    got = pull_column_numpy(clean, "key", np.int64)
+    assert got.dtype == np.int64 and got.tolist() == [3, 4]
+
+
+def test_pull_column_numpy_passes_float_nulls_as_nan(ray_session):
+    """A float column's nulls come back as NaN, not as an error."""
+    import ray.data
+
+    from my_ocr_ray.functions.tables import pull_column_numpy
+
+    ds = ray.data.from_arrow(pa.table({"x": pa.array([1.5, None, 2.0], pa.float64())}))
+    got = pull_column_numpy(ds, "x")
+    assert got.dtype == np.float64
+    assert got[0] == 1.5 and np.isnan(got[1]) and got[2] == 2.0
