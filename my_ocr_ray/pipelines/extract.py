@@ -1,14 +1,12 @@
 """The flagship extraction pipeline: interleaved docs -> extracted docs.
 
 Ray-Data shape (SURVEY.md §3.1 "RD shape"). Each input row is one whole
-document, so by default no exchange is needed — a document-level task
-recognizes the media spans of a batch of documents, and a second task
-finishes the rest of the row-local chain; no actor starts:
+document, so by default no exchange is needed — one document-level task
+runs the whole row-local chain over a read block; no actor starts:
 
-    read -> map_batches(DocOCRStage(...))  # task: explode -> OCR media
-                                           # spans -> rebuild
-         -> map_batches(parse_documents)   # task: explode -> strip ->
-                                           # pdf -> rebuild
+    read -> map_batches(DocOCRStage(...))  # task: explode -> strip ->
+                                           # OCR media + decode pdf spans
+                                           # -> rebuild
          -> write_parquet / Dataset
 
 The ``doc_id`` exchange runs only on the ``media_ds`` shuffle join, which
@@ -44,7 +42,7 @@ from ..sizing import (
     configure_hash_shuffle,
     hash_partitions,
 )
-from ..stages.ocrstage import DocOCRStage, OCRStage, parse_documents
+from ..stages.ocrstage import DocOCRStage, OCRStage
 from ..stages.reassemble import reassemble_hash
 from ..stages.route import explode_spans
 from ..stages.textstage import strip_boilerplate
@@ -85,8 +83,7 @@ def load_media_lookup(media_path):
 
 
 # average spans per interleaved doc (measured 7.6 on the synthetic corpus);
-# used only to size the shuffle and the document batch of the exchange-free
-# path, not for correctness
+# used only to size the media join's shuffle, not for correctness
 EST_SPANS_PER_DOC = 8
 
 # broadcast the media table only while it fits comfortably next to the
@@ -192,14 +189,12 @@ def extract(
     footer-estimated bytes vs the object store size.
 
     Plan: with a broadcast lookup the plan is exchange-free
-    (``read -> DocOCRStage -> parse_documents -> write``) and starts no
-    actor: each ``DocOCRStage`` task explodes a batch of
-    ``ocr_batch_size // EST_SPANS_PER_DOC`` documents, OCRs their media
-    spans (in slices of at most ``ocr_batch_size`` rows) and rebuilds them;
-    a second task then strips boilerplate, extracts HTML, decodes pdf spans
-    and rebuilds again, fused into the write. Only the ``media_ds`` join
-    scatters a document's span rows, so only it pays the ``doc_id`` hash
-    exchange. A hot document is one input row like any other and takes the
+    (``read -> DocOCRStage -> write``) and starts no actor: each
+    ``DocOCRStage`` task takes a whole read block, explodes it, strips
+    boilerplate, extracts HTML, recognizes media and decodes pdf spans (in
+    slices of at most ``ocr_batch_size`` rows) and rebuilds the documents
+    once. Only the ``media_ds`` join scatters a document's span rows, so
+    only it pays the ``doc_id`` hash exchange. A hot document is one input row like any other and takes the
     plan its media strategy selects.
 
     Resource fit on the join plan (``my_ocr_ray.sizing``): the OCR actor
@@ -222,12 +217,14 @@ def extract(
     cpus = cluster_cpus()
     if media_ds is None:
         # no step scatters a document's span rows: no doc_id exchange, and
-        # no actor: the OCR step is a callable instance, run as tasks.
-        # Ray Data fuses two task operators only when their pool sizes are
-        # equal; parse_documents and the write run unbounded, so bounding
-        # this operator at the cluster's CPUs (no more of its tasks could
-        # run at once anyway) keeps it its own operator, named for the OCR
-        # step, instead of fused into parse_documents' write
+        # no actor: the document step is a callable instance, run as tasks
+        # over whole read blocks. The concurrency bound has no engine
+        # purpose: it only keeps Ray Data from fusing the read and the write
+        # into this operator (it fuses task operators only when their pool
+        # sizes are equal), so the benchmark's per-layer operator map
+        # (perfbench/opstats.py) finds an operator named for the OCR step.
+        # ROADMAP.md item 1, step 0, teaches that map the fused operator
+        # and removes the bound
         return docs_ds.map_batches(
             DocOCRStage(
                 media_lookup_ref=media_lookup_ref,
@@ -236,15 +233,9 @@ def extract(
                 ocr_stage_kwargs=ocr_stage_kwargs,
             ),
             batch_format="pyarrow",
-            batch_size=max(1, ocr_batch_size // EST_SPANS_PER_DOC),
-            zero_copy_batch=True,
-            concurrency=cpus,
-        ).map_batches(
-            parse_documents,
-            fn_kwargs={"media_lookup_ref": media_lookup_ref, "on_error": on_error},
-            batch_format="pyarrow",
             batch_size=None,
             zero_copy_batch=True,
+            concurrency=cpus,
         )
 
     aggregator_cpu_budget = max(1.0, cpus / 8)

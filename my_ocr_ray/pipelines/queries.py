@@ -545,7 +545,7 @@ def q_flagship_extract(sf_dir: str, n_docs: int | None = None):
     lookup = load_media_lookup(sorted(glob.glob(f"{corpus}/media/*.parquet")))
     out = extract(
         ray.data.read_parquet(sorted(glob.glob(f"{corpus}/documents/*.parquet"))),
-        media_lookup_ref=lookup,  # concurrency auto-sized to the session
+        media_lookup_ref=lookup,
     )
 
     def flatten(batch: pa.Table) -> pa.Table:

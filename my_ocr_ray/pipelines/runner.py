@@ -119,11 +119,11 @@ def run_extract_partitioned(
 ) -> dict:
     """Run all incomplete partitions; returns a summary dict.
 
-    Each partition runs ``extract()`` with its defaults (auto-sized OCR
-    pool) and the media strategy :func:`resolve_media` chooses for
-    ``media_path``; it runs once, before the partition loop, so a broadcast
-    lookup is loaded once per run and an oversized media table takes the
-    shuffle join on every partition.
+    Each partition runs ``extract()`` with its defaults and the media
+    strategy :func:`resolve_media` chooses for ``media_path``; it runs
+    once, before the partition loop, so a broadcast lookup is loaded once
+    per run and an oversized media table takes the shuffle join on every
+    partition.
 
     ``max_partitions`` bounds how many partitions this invocation processes
     (used by the resume test to simulate a mid-job kill).

@@ -10,11 +10,10 @@ across calls and jobs. Two plans drive it:
   ``map_batches(OCRStage, concurrency=N, batch_size=B)``: a stateful actor
   pool over span rows that carry their ``bytes`` column;
 - the exchange-free plan runs :class:`DocOCRStage`, a callable INSTANCE
-  that Ray Data runs as stateless tasks: it recognizes the media spans of a
-  batch of whole documents and rebuilds them, passing text, html and pdf
-  spans through untouched; the task :func:`parse_documents` then strips
-  boilerplate, extracts HTML and decodes pdf spans. No actor starts on this
-  plan, so no job waits for one to boot.
+  that Ray Data runs as stateless tasks: one call explodes a block of whole
+  documents, strips boilerplate, extracts HTML, sends the media and pdf
+  spans through :class:`SpanOCR` and rebuilds the documents once. No actor
+  starts on this plan, so no job waits for one to boot.
 
 Recognition is batch-at-a-time: every word crop of a call (TTA variants and
 preprocessor output included) is glyph-segmented in one padded-strip pass,
@@ -218,47 +217,6 @@ def span_bytes(batch: pa.Table, idx: np.ndarray, media, on_error: str) -> list:
     return found
 
 
-def decode_pdf_spans(payloads: list, decoder, on_error: str) -> tuple[list[str], set]:
-    """pdf bytes -> reading-ordered text, one pass per span. A failing span
-    (missing bytes, undecodable) raises under ``raise``; under ``skip`` its
-    slot is returned in the failed set (text "")."""
-    # looked up per call: the benchmark's ledger wraps the module attribute
-    from ..sources.pdf import pdf_pages_text
-
-    texts: list[str] = []
-    failed: set[int] = set()
-    for slot, data in enumerate(payloads):
-        try:
-            if data is None:
-                raise KeyError("missing pdf bytes")
-            texts.append(pdf_pages_text(decoder.decode(data)))
-        except Exception:
-            if on_error == "raise":
-                raise
-            failed.add(slot)
-            texts.append("")
-    return texts, failed
-
-
-def _fill_texts(batch: pa.Table, idx: np.ndarray, texts: list, failed: set) -> pa.Table:
-    """Scatter ``texts`` into the span rows at ``idx``, drop the rows at
-    ``idx[failed]`` and project to the span-row columns (vectorized)."""
-    if idx.size:
-        text_np = batch["text"].combine_chunks().to_numpy(
-            zero_copy_only=False
-        ).astype(object)
-        text_np[idx] = texts
-        batch = batch.set_column(
-            batch.schema.get_field_index("text"), "text",
-            pa.array(text_np, pa.string()),
-        )
-    if failed:
-        keep = np.ones(len(batch), dtype=bool)
-        keep[idx[sorted(failed)]] = False
-        batch = batch.filter(pa.array(keep))
-    return _project_span_rows(batch)
-
-
 def _kind_rows(batch: pa.Table, kind: str) -> np.ndarray:
     return np.flatnonzero(
         pc.equal(batch["kind"], kind).combine_chunks().to_numpy(zero_copy_only=False)
@@ -320,19 +278,48 @@ class SpanOCR:
         pdf_idx = _kind_rows(batch, "pdf")
         if media_idx.size == 0 and pdf_idx.size == 0:
             return _project_span_rows(batch)
-        # pdf spans: decode -> reading-ordered text (failures follow the
-        # same skip policy as media)
-        pdf_texts, pdf_failed = decode_pdf_spans(
-            span_bytes(batch, pdf_idx, self.media, self.on_error),
-            self.pdf_decoder, self.on_error,
+        pdf_texts, pdf_failed = self._decode_pdfs(
+            span_bytes(batch, pdf_idx, self.media, self.on_error)
         ) if pdf_idx.size else ([], set())
         ocr_texts, failed = self._recognize(
             span_bytes(batch, media_idx, self.media, self.on_error)
         ) if media_idx.size else ([], set())
-        return _fill_texts(
-            batch, np.concatenate([media_idx, pdf_idx]), ocr_texts + pdf_texts,
-            failed | {media_idx.size + slot for slot in pdf_failed},
+        # scatter the texts into their rows, then drop the failed rows
+        idx = np.concatenate([media_idx, pdf_idx])
+        failed |= {media_idx.size + slot for slot in pdf_failed}
+        text_np = batch["text"].combine_chunks().to_numpy(
+            zero_copy_only=False
+        ).astype(object)
+        text_np[idx] = ocr_texts + pdf_texts
+        batch = batch.set_column(
+            batch.schema.get_field_index("text"), "text",
+            pa.array(text_np, pa.string()),
         )
+        if failed:
+            keep = np.ones(len(batch), dtype=bool)
+            keep[idx[sorted(failed)]] = False
+            batch = batch.filter(pa.array(keep))
+        return _project_span_rows(batch)
+
+    def _decode_pdfs(self, payloads: list) -> tuple[list[str], set]:
+        """pdf bytes -> reading-ordered text per span, and the failed slots
+        (missing bytes, undecodable: the same skip policy as media)."""
+        # looked up per call: the benchmark's ledger wraps the module attribute
+        from ..sources.pdf import pdf_pages_text
+
+        texts: list[str] = []
+        failed: set[int] = set()
+        for slot, data in enumerate(payloads):
+            try:
+                if data is None:
+                    raise KeyError("missing pdf bytes")
+                texts.append(pdf_pages_text(self.pdf_decoder.decode(data)))
+            except Exception:
+                if self.on_error == "raise":
+                    raise
+                failed.add(slot)
+                texts.append("")
+        return texts, failed
 
     def _recognize(self, images: list) -> tuple[list[str], set]:
         """PNG bytes -> stitched text per image, and the failed slots."""
@@ -413,8 +400,9 @@ class OCRStage(SpanOCR):
 
 
 class DocOCRStage:
-    """Document-level OCR task of the exchange-free plan: explode ->
-    recognize the media spans -> rebuild, in one call.
+    """Document task of the exchange-free plan: explode -> strip
+    boilerplate and extract HTML -> recognize media and decode pdf spans ->
+    rebuild, in one call.
 
     A callable instance, so Ray Data runs it as stateless tasks on any idle
     worker (``map_batches(DocOCRStage(...))``): no actor process starts per
@@ -432,12 +420,12 @@ class DocOCRStage:
     and is left out of the plan (the reference detects, recognizes and
     stitches one document in one process, ``mmocr/utils/ocr.py:193-199``).
 
-    Only ``kind == "media"`` rows reach :meth:`SpanOCR.__call__`, in slices
-    of at most ``ocr_batch_size`` rows (slices may straddle documents), so a
-    document with thousands of spans keeps the span-row path's batch and
-    memory bound. Text, html and pdf spans pass through untouched for
-    :func:`parse_documents`; a failed media span under ``skip`` is dropped
-    and the roster row keeps its document.
+    Only ``kind in {media, pdf}`` rows reach :meth:`SpanOCR.__call__`, in
+    slices of at most ``ocr_batch_size`` rows (slices may straddle
+    documents), so a document with thousands of spans keeps the span-row
+    path's batch and memory bound. Text and html spans are finished by
+    :func:`strip_boilerplate` before it; a failed media or pdf span under
+    ``skip`` is dropped and the roster row keeps its document.
     """
 
     def __init__(
@@ -458,36 +446,12 @@ class DocOCRStage:
             get_media_lookup(self.media_lookup_ref), self.on_error,
             **self.ocr_stage_kwargs,
         )
-        rows = explode_spans(batch, with_sentinel=True)
-        is_media = pc.equal(rows["kind"], "media")
-        media_rows = rows.filter(is_media)
+        rows = strip_boilerplate(explode_spans(batch, with_sentinel=True))
+        to_ocr = pc.is_in(rows["kind"], pa.array(["media", "pdf"]))
+        ocr_rows = rows.filter(to_ocr)
         step = self.ocr_batch_size
-        parts = [rows.filter(pc.invert(is_media))] + [
-            stage(media_rows.slice(i, step))
-            for i in range(0, media_rows.num_rows, step)
+        parts = [_project_span_rows(rows.filter(pc.invert(to_ocr)))] + [
+            stage(ocr_rows.slice(i, step))
+            for i in range(0, ocr_rows.num_rows, step)
         ]
         return _build_doc_rows(pa.concat_tables(parts))
-
-
-def parse_documents(
-    batch: pa.Table, media_lookup_ref=None, on_error: str = "raise"
-) -> pa.Table:
-    """Task half of the exchange-free plan, after :class:`DocOCRStage`:
-    explode -> strip boilerplate + extract HTML -> decode pdf spans from
-    the broadcast lookup -> rebuild. A stateless function: Ray Data fuses
-    it into the write.
-
-    The name must contain no operator fragment the benchmark maps by
-    (``OCRStage``, ``Write``, ...), so its fused operator maps to the
-    rebuild/write layer."""
-    rows = strip_boilerplate(explode_spans(batch, with_sentinel=True))
-    pdf_idx = _kind_rows(rows, "pdf")
-    if pdf_idx.size:
-        from ..sources.pdf import PdfDecoder
-
-        texts, failed = decode_pdf_spans(
-            span_bytes(rows, pdf_idx, get_media_lookup(media_lookup_ref), on_error),
-            PdfDecoder(), on_error,
-        )
-        rows = _fill_texts(rows, pdf_idx, texts, failed)
-    return _build_doc_rows(rows)

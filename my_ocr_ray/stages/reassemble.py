@@ -4,13 +4,13 @@ Group processed span rows by ``doc_id`` and rebuild the ``spans`` list
 sorted by ``offset``. The reference never shuffles (one image per process,
 list order implicit, ``ocr.py:193-199``), and neither does the default
 extraction plan: each input row is a whole document, so
-``ocrstage.DocOCRStage`` and ``ocrstage.parse_documents`` each call
-:func:`_build_doc_rows` on the span rows they produced themselves. The one exchange, :func:`reassemble_hash` (a ``doc_id``
-hash repartition, then a vectorized per-block rebuild), runs only after
-the ``media_ref`` shuffle join, which scatters a document's span rows
-across blocks. Order is restored explicitly from the carried ``offset``
-column so it survives any partitioning; a hot document's rows land in one
-block and are rebuilt there like any other document's.
+``ocrstage.DocOCRStage`` calls :func:`_build_doc_rows` once, on the span
+rows it produced itself. The one exchange, :func:`reassemble_hash` (a
+``doc_id`` hash repartition, then a vectorized per-block rebuild), runs
+only after the ``media_ref`` shuffle join, which scatters a document's
+span rows across blocks. Order is restored explicitly from the carried
+``offset`` column so it survives any partitioning; a hot document's rows
+land in one block and are rebuilt there like any other document's.
 
 Exact dedup on ``(doc_id, offset)`` (keep-first) happens inside the group
 build — the idempotence guard for resumed/retried partitions.

@@ -1,9 +1,9 @@
 """Exchange-free extraction plan: with a broadcast media lookup
-``extract()`` runs ``read -> DocOCRStage -> parse_documents -> write`` with
-no ``doc_id`` exchange, hot documents included, and starts no actor: both
-steps are Ray tasks, and only media rows reach OCR. The join path keeps its
-exchange and its ``OCRStage`` actor pool. Every path must produce the same
-documents."""
+``extract()`` runs ``read -> DocOCRStage -> write`` with no ``doc_id``
+exchange, hot documents included, and starts no actor: the one document
+step is a Ray task, and only media and pdf rows reach ``SpanOCR``. The join
+path keeps its exchange and its ``OCRStage`` actor pool. Every path must
+produce the same documents."""
 import gc
 import os
 import time
@@ -18,9 +18,10 @@ from my_ocr_ray.stages.ocrstage import (
     OCRStage,
     SpanOCR,
     _MediaTableLookup,
-    parse_documents,
     resolve_media_lookup,
 )
+from my_ocr_ray.stages.route import explode_spans
+from my_ocr_ray.stages.textstage import boilerplate_mask
 from my_ocr_ray.synth import corpus_tables
 
 
@@ -116,16 +117,15 @@ def test_plan_shape(put_media_lookup, corpus, path, shuffles):
     assert sum("Shuffle(" in op for op in ops) == shuffles, ops
     assert any("OCRStage" in op for op in ops), ops
     if path != "join":
-        assert any("DocOCRStage" in op for op in ops), ops
-        assert any("parse_documents" in op for op in ops), ops
-        # both steps run as tasks, each its own operator: the OCR step is
-        # never fused into the task after it, and no actor pool exists
-        assert "TaskPoolMapOperator[MapBatches(DocOCRStage)] -> " \
-            "TaskPoolMapOperator[MapBatches(parse_documents)]" in physical, physical
+        # one task operator for the whole document step, fused with neither
+        # the input nor anything after it, and no actor pool
+        maps = [op for op in ops if "MapBatches" in op]
+        assert len(maps) == 1 and "MapBatches(DocOCRStage)" in maps[0], ops
+        assert "TaskPoolMapOperator[MapBatches(DocOCRStage)]" in physical, physical
         assert "ActorPoolMapOperator" not in physical, physical
     else:
         assert any("Join(" in op for op in ops), ops
-        assert not any("parse_documents" in op for op in ops), ops
+        assert not any("DocOCRStage" in op for op in ops), ops
         assert "ActorPoolMapOperator[MapBatches(OCRStage)]" in physical, physical
     assert _got_map(ds.take_all()) == exp
 
@@ -133,22 +133,36 @@ def test_plan_shape(put_media_lookup, corpus, path, shuffles):
 @pytest.mark.parametrize("path", ["broadcast", "join"])
 def test_small_ocr_slices_match_goldens(put_media_lookup, corpus, path):
     """ocr_batch_size=16 makes documents straddle OCR slices (the corpus
-    has a 57-span document); the output must still equal the goldens."""
+    has a 57-span document), and ocr_batch_size=1 puts each media and pdf
+    span of a document in a slice of its own; the output must still equal
+    the goldens."""
     import ray.data
 
     docs, _, expected = corpus
-    out = extract(
-        ray.data.from_arrow(docs).repartition(4),
-        ocr_batch_size=16,
-        **_plan_kwargs(put_media_lookup, corpus, path),
-    ).take_all()
-    assert _got_map(out) == _expected_map(expected)
+    for ocr_batch_size in (16, 1):
+        out = extract(
+            ray.data.from_arrow(docs).repartition(4),
+            ocr_batch_size=ocr_batch_size,
+            **_plan_kwargs(put_media_lookup, corpus, path),
+        ).take_all()
+        assert _got_map(out) == _expected_map(expected), ocr_batch_size
+
+
+def _span_keys(rows, kinds):
+    """Sorted (doc_id, offset) of the span rows whose kind is in ``kinds``."""
+    return sorted(
+        (d, o) for d, o, k in zip(
+            rows["doc_id"].to_pylist(), rows["offset"].to_pylist(),
+            rows["kind"].to_pylist(),
+        ) if k in kinds
+    )
 
 
 def test_doc_stage_bounds_ocr_slices(put_media_lookup, corpus, monkeypatch):
-    """One call on the whole corpus sends only media rows to OCR, in slices
-    of at most ``ocr_batch_size`` rows, and passes every other span through
-    untouched; ``parse_documents`` after it gives the goldens."""
+    """One call on the whole corpus sends every media and pdf row to
+    ``SpanOCR`` exactly once, in slices of at most ``ocr_batch_size`` rows,
+    and no text, html or roster row; it strips every boilerplate text span
+    and returns the goldens."""
     docs, media, expected = corpus
     slices = []
     span_call = SpanOCR.__call__
@@ -158,32 +172,26 @@ def test_doc_stage_bounds_ocr_slices(put_media_lookup, corpus, monkeypatch):
         return span_call(self, batch)
 
     monkeypatch.setattr(SpanOCR, "__call__", spy)
-    lookup = put_media_lookup(media)
-    out = DocOCRStage(media_lookup_ref=lookup, ocr_batch_size=16)(docs)
+    out = DocOCRStage(media_lookup_ref=put_media_lookup(media), ocr_batch_size=16)(docs)
     assert len(slices) > 1 and max(b.num_rows for b in slices) <= 16
-    assert all(set(b["kind"].to_pylist()) == {"media"} for b in slices)
-    assert sum(b.num_rows for b in slices) == sum(
-        s["kind"] == "media" for r in docs.to_pylist() for s in r["spans"]
+    assert set().union(*(b["kind"].to_pylist() for b in slices)) <= {"media", "pdf"}
+    sent = pa.concat_tables(slices)
+    assert _span_keys(sent, {"media", "pdf"}) == _span_keys(
+        explode_spans(docs), {"media", "pdf"}
     )
     assert out.schema == DOCUMENTS_SCHEMA
-    untouched = {
-        d: [s for s in spans if s["kind"] != "media"]
-        for d, spans in _got_map(docs.to_pylist()).items()
-    }
-    assert {
-        d: [s for s in spans if s["kind"] != "media"]
-        for d, spans in _got_map(out.to_pylist()).items()
-    } == untouched
-    parsed = parse_documents(out, media_lookup_ref=lookup)
-    assert parsed.schema == DOCUMENTS_SCHEMA
-    assert _got_map(parsed.to_pylist()) == _expected_map(expected)
+    texts = [
+        s["text"] for r in out.to_pylist() for s in r["spans"] if s["kind"] == "text"
+    ]
+    assert texts and not any(boilerplate_mask(pa.array(texts)).to_pylist())
+    assert _got_map(out.to_pylist()) == _expected_map(expected)
 
 
 @pytest.mark.parametrize("form", ["precomputed", "loaded"])
 def test_parse_resolves_every_lookup_form(put_media_lookup, corpus, form, tmp_path):
-    """The actor and the task decode from the one lookup form, the index
-    payload: put directly from ``_MediaTableLookup.precompute`` or read
-    from parquet by ``load_media_lookup``."""
+    """The task decodes from the one lookup form, the index payload: put
+    directly from ``_MediaTableLookup.precompute`` or read from parquet by
+    ``load_media_lookup``; one ``DocOCRStage`` call gives the goldens."""
     import pyarrow.parquet as pq
 
     docs, media, expected = corpus
@@ -192,7 +200,7 @@ def test_parse_resolves_every_lookup_form(put_media_lookup, corpus, form, tmp_pa
         ref = load_media_lookup(str(tmp_path))
     else:
         ref = put_media_lookup(media)
-    out = parse_documents(DocOCRStage(media_lookup_ref=ref)(docs), media_lookup_ref=ref)
+    out = DocOCRStage(media_lookup_ref=ref)(docs)
     assert _got_map(out.to_pylist()) == _expected_map(expected)
 
 
@@ -319,6 +327,55 @@ def test_missing_pdf_ref(put_media_lookup, corpus):
             ray.data.from_arrow(docs).repartition(4),
             media_lookup_ref=put_media_lookup(media, missing=gone),
         ).take_all()
+
+
+def test_one_document_with_every_span_fault(put_media_lookup, corpus):
+    """One document holds a corrupt PNG, a corrupt PDF and a missing PDF
+    ref beside good text, media and pdf spans. Through ``DocOCRStage`` and
+    through ``extract()``, with each span in its own OCR slice and with the
+    default slices: ``skip`` drops exactly those three spans and keeps the
+    document row, ``raise`` raises."""
+    import ray.data
+
+    _, media, expected = corpus
+    golden = {
+        s["media_ref"]: s["text"]
+        for spans in _expected_map(expected).values() for s in spans
+        if s["media_ref"]
+    }
+    good_png, bad_png = sorted(r for r in golden if r.startswith("m-"))[:2]
+    good_pdf, bad_pdf, gone_pdf = sorted(r for r in golden if r.startswith("p-"))[:3]
+    refs = [("media", good_png), ("media", bad_png), ("pdf", good_pdf),
+            ("pdf", bad_pdf), ("pdf", gone_pdf)]
+    spans = [{"kind": "text", "text": "three plain words", "media_ref": "",
+              "offset": 0}] + [
+        {"kind": kind, "text": "", "media_ref": ref, "offset": i}
+        for i, (kind, ref) in enumerate(refs, start=1)
+    ]
+    doc = pa.Table.from_pydict(
+        {"doc_id": ["doc-faults"], "spans": [spans]}, schema=DOCUMENTS_SCHEMA
+    )
+    want = {"doc-faults": [
+        {**s, "text": golden.get(s["media_ref"], s["text"])} for s in spans
+        if s["media_ref"] not in (bad_png, bad_pdf, gone_pdf)
+    ]}
+    lookup = put_media_lookup(
+        media, corrupt=_corrupt({bad_png, bad_pdf}), missing={gone_pdf}
+    )
+    for slices in ({"ocr_batch_size": 1}, {}):
+        task = DocOCRStage(media_lookup_ref=lookup, on_error="skip", **slices)
+        assert _got_map(task(doc).to_pylist()) == want, slices
+        out = extract(
+            ray.data.from_arrow(doc), media_lookup_ref=lookup,
+            on_error="skip", **slices,
+        ).take_all()
+        assert _got_map(out) == want, slices
+        with pytest.raises(Exception):
+            DocOCRStage(media_lookup_ref=lookup, **slices)(doc)
+        with pytest.raises(Exception):
+            extract(
+                ray.data.from_arrow(doc), media_lookup_ref=lookup, **slices
+            ).take_all()
 
 
 def _dies_on_first_call(stage_cls, marker):

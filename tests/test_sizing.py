@@ -183,8 +183,10 @@ def test_extract_pool_and_partitions_match_parent(cpus, fake_cpus, monkeypatch):
                 media_ds=_recording(None) if join else None,
             )
             # the join plan's actor pool keeps its reserve; the broadcast
-            # plan's OCR tasks are bounded at the cluster's CPUs, which
-            # keeps them from fusing into the unbounded tasks after them
+            # plan's document tasks are bounded at the cluster's CPUs only
+            # so that the benchmark's per-layer operator map
+            # (perfbench/opstats.py) finds them unfused from the read and
+            # the write; ROADMAP.md item 1, step 0, removes that bound
             want_pool = ref_ocr_pool(cpus, join) if join else cpus
             assert ds.values("pool") == {want_pool}
             parts = ds.values("partitions")
