@@ -36,7 +36,9 @@ from typing import Optional
 import pyarrow.parquet as pq
 
 from ..sizing import (
+    MEDIA_LOOKUP_BUILD_CPUS,
     actor_pool,
+    admit_by_plan_slots,
     approx_rows,
     cluster_cpus,
     configure_hash_shuffle,
@@ -68,7 +70,7 @@ def load_media_lookup(media_path):
     """
     import ray
 
-    @ray.remote(num_cpus=2)
+    @ray.remote(num_cpus=MEDIA_LOOKUP_BUILD_CPUS)
     def _build(files):
         import pyarrow.dataset as pads
 
@@ -224,8 +226,9 @@ def extract(
         # sizes are equal), so the benchmark's per-layer operator map
         # (perfbench/opstats.py) finds an operator named for the OCR step.
         # ROADMAP.md item 1, step 0, teaches that map the fused operator
-        # and removes the bound
-        return docs_ds.map_batches(
+        # and removes the bound. The plan's tasks are admitted against one
+        # slot budget, not Ray Data's per-operator reservation
+        return admit_by_plan_slots(docs_ds.map_batches(
             DocOCRStage(
                 media_lookup_ref=media_lookup_ref,
                 on_error=on_error,
@@ -236,7 +239,7 @@ def extract(
             batch_size=None,
             zero_copy_batch=True,
             concurrency=cpus,
-        )
+        ))
 
     aggregator_cpu_budget = max(1.0, cpus / 8)
     n_docs = approx_rows(docs_ds)

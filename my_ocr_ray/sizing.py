@@ -12,6 +12,11 @@ constant has one home instead of a copy per call site.
   partitions.
 - :func:`actor_pool` — an actor-pool size that leaves ``reserve`` CPUs for
   the tasks and exchanges running next to the pool.
+- :func:`plan_context` — a dataset rebound to its own DataContext copy,
+  so a plan's settings never reach the caller's datasets.
+- :func:`plan_task_slots` / :func:`admit_by_plan_slots` — the one slot
+  budget an exchange-free task plan is admitted against, in place of Ray
+  Data's per-operator reservation.
 - :func:`configure_hash_shuffle` — a plan's own DataContext, set to the
   hash-shuffle backend with a fixed total aggregator CPU claim.
 - :func:`hash_exchange` — a battery exchange's partition count and dataset.
@@ -56,6 +61,12 @@ ROWS_PER_HASH_PARTITION = 2_000_000
 # largest aggregator CPU claim per hash partition (Ray's own default is up
 # to 1 CPU per partition, which lets a large exchange claim half a cluster)
 MAX_CPUS_PER_PARTITION = 0.25
+
+# CPU claim of load_media_lookup's read + hash-index build task, a plain
+# Ray task outside any plan's slot budget. Claiming 1 instead of 2 moved
+# neither throughput nor peak memory of the exchange-free plan in
+# alternating runs on 4 Ray CPUs, so the claim stays where it was
+MEDIA_LOOKUP_BUILD_CPUS = 2
 
 # total aggregator CPU claim of one battery exchange or join (windows,
 # dedup, corpus, relational, ann, evaluate); configure_hash_shuffle divides
@@ -144,17 +155,76 @@ def actor_pool(reserve: float, cap: int | None = None, floor: int = 1) -> int:
     return max(floor, n)
 
 
+def plan_context(ds):
+    """Return ``ds`` rebound to its own copy of the DataContext: the same
+    plan, whose context settings reach the returned dataset and the plans
+    derived from it, never ``ds`` or anything else derived from it (a Ray
+    dataset shares one DataContext object with the dataset it was derived
+    from: ``ds.context is ds.map_batches(f).context``)."""
+    from ray.data._internal.logical.interfaces import LogicalPlan
+
+    plan = ds._plan.deep_copy()
+    return type(ds)(plan, LogicalPlan(ds._logical_plan.dag, plan._context))
+
+
+def plan_task_slots() -> int:
+    """Tasks an exchange-free task plan runs at once, over all its
+    operators: the cluster's CPUs minus one (at least one). Every running
+    task holds its own Ray worker process, and a worker that has run a Ray
+    Data task keeps ``ray.data`` imported, about 100 MB of private memory,
+    for the rest of the session; the spare core runs what Ray Data does not
+    schedule (the media lookup build, ``read_parquet``'s metadata sampling)
+    without one more such process."""
+    return max(1, cluster_cpus() - 1)
+
+
+class PlanTaskSlots:
+    """A Ray Data backpressure policy (the ``backpressure_policies.enabled``
+    config of a DataContext): an operator may start a task only while the
+    plan's running tasks, over all its operators, are fewer than
+    :func:`plan_task_slots`. One slot budget for the whole pipeline,
+    instead of one reserved slice per operator."""
+
+    def __init__(self, data_context, topology, resource_manager):
+        self._topology = topology
+        self._slots = plan_task_slots()
+
+    def can_add_input(self, op) -> bool:
+        return sum(o.num_active_tasks() for o in self._topology) < self._slots
+
+    def max_task_output_bytes_to_read(self, op):
+        return None
+
+
+def admit_by_plan_slots(ds):
+    """Return ``ds`` on its own DataContext (:func:`plan_context`), with
+    Ray Data's per-operator resource reservation off and its tasks admitted
+    against :class:`PlanTaskSlots`. The reservation sets aside a task's CPU
+    for every operator, the read and the write included, however little
+    work they have left: on 4 CPUs the one document operator ran about two
+    tasks at a time. For a plan of task operators only; actor pools and
+    exchanges are sized on the reservation."""
+    from ray.data._internal.execution.backpressure_policy import (
+        ENABLED_BACKPRESSURE_POLICIES,
+        ENABLED_BACKPRESSURE_POLICIES_CONFIG_KEY,
+    )
+
+    ds = plan_context(ds)
+    ctx = ds.context
+    ctx.op_resource_reservation_enabled = False
+    policies = ctx.get_config(
+        ENABLED_BACKPRESSURE_POLICIES_CONFIG_KEY, ENABLED_BACKPRESSURE_POLICIES
+    )
+    ctx.set_config(ENABLED_BACKPRESSURE_POLICIES_CONFIG_KEY, [*policies, PlanTaskSlots])
+    return ds
+
+
 def configure_hash_shuffle(
     ds, num_partitions: int, aggregator_cpu_budget: float, rows: int | None
 ):
-    """Return ``ds`` on its own copy of the DataContext, set to the
+    """Return ``ds`` on its own copy of the DataContext
+    (:func:`plan_context`; ``ds`` itself is untouched), set to the
     hash-shuffle backend with a FIXED total aggregator CPU claim.
-
-    A Ray dataset shares one DataContext object with the dataset it was
-    derived from (``ds.context is ds.map_batches(f).context``), so settings
-    written to ``ds.context`` would also reach the caller's input dataset
-    and anything else derived from it. The copy keeps them to the returned
-    dataset and the plans derived from it; ``ds`` itself is untouched.
 
     The aggregator pool claims (per-partition-cpus x num_partitions) total;
     with a fixed per-partition claim, growing the partition count with data
@@ -173,11 +243,9 @@ def configure_hash_shuffle(
     than one aggregator per partition would, and joins get the same claim
     (Ray's own join default, up to 1 CPU per partition, would let one join
     aggregator claim several CPUs)."""
-    from ray.data._internal.logical.interfaces import LogicalPlan
     from ray.data.context import ShuffleStrategy
 
-    plan = ds._plan.deep_copy()  # same plan, its own DataContext copy
-    ds = type(ds)(plan, LogicalPlan(ds._logical_plan.dag, plan._context))
+    ds = plan_context(ds)
     ctx = ds.context
     ctx.shuffle_strategy = ShuffleStrategy.HASH_SHUFFLE
     per_part = min(

@@ -475,6 +475,65 @@ def test_broadcast_plan_leaves_no_actor_behind(ray_session, put_media_lookup, co
         gc.collect()  # the join plan's actors
 
 
+def _records_first_call(out_dir, hold_s):
+    """A recognition preprocessor that, on its first call in each task
+    (every task unpickles its own copy), holds the task for ``hold_s`` and
+    records ``(pid, start, end)`` of that hold under ``out_dir``; it
+    returns every crop unchanged."""
+
+    class RecordFirstCall:
+        def __init__(self):
+            self.called = False
+
+        def __call__(self, crop):
+            if not self.called:
+                self.called = True
+                start = time.time()
+                time.sleep(hold_s)
+                path = os.path.join(out_dir, f"{os.getpid()}-{id(self)}-{start}")
+                with open(path, "w") as f:
+                    f.write(f"{os.getpid()} {start} {time.time()}")
+            return crop
+
+    return RecordFirstCall()
+
+
+def _most_overlapping(intervals) -> int:
+    """The most ``(start, end)`` intervals that share one instant."""
+    return max(sum(s <= t < e for s, e in intervals) for t, _ in intervals)
+
+
+def test_document_tasks_run_side_by_side(ray_session, put_media_lookup, corpus, tmp_path):
+    """A broadcast read -> extract -> write job over 4 read blocks on the
+    4-CPU session runs its document tasks side by side: at least 3 of the 4
+    tasks' first recognition calls overlap in time (the plan's slot budget
+    is CPUs - 1 = 3; Ray Data's per-operator reservation, which holds CPUs
+    for the read and the write, let two run at a time), and the written
+    documents equal the goldens."""
+    import pyarrow.parquet as pq
+    import ray.data
+
+    docs, media, expected = corpus
+    gc.collect()  # earlier tests' finished plans hold CPUs until collected
+    assert _wait_all_cpus_free(ray_session)
+    src, rec, out = tmp_path / "docs", tmp_path / "calls", tmp_path / "out"
+    src.mkdir()
+    rec.mkdir()
+    step = -(-docs.num_rows // 4)
+    for i in range(4):
+        pq.write_table(docs.slice(i * step, step), src / f"docs-{i}.parquet")
+    extract(
+        ray.data.read_parquet(str(src), override_num_blocks=4),
+        media_lookup_ref=put_media_lookup(media),
+        ocr_stage_kwargs={"preprocessor": _records_first_call(str(rec), 1.5)},
+    ).write_parquet(str(out))
+    calls = [tuple(map(float, p.read_text().split()[1:])) for p in rec.iterdir()]
+    assert len(calls) == 4, calls
+    assert _most_overlapping(calls) >= 3, sorted(calls)
+    written = ray.data.read_parquet(str(out)).take_all()
+    assert _got_map(written) == _expected_map(expected)
+
+
 def test_all_boilerplate_doc_keeps_empty_row(put_media_lookup):
     import ray.data
 

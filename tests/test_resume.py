@@ -61,6 +61,33 @@ def test_partial_run_then_resume(corpus_dirs, ray_session, tmp_path):
     assert got == exp
 
 
+def test_runner_partitions_take_extract_broadcast_plan(
+    corpus_dirs, ray_session, tmp_path, monkeypatch
+):
+    """Each partition of a broadcast-media run gets exactly ``extract()``'s
+    default plan: the broadcast lookup, and the plan's own context with Ray
+    Data's per-operator reservation off and the plan's slot budget."""
+    from my_ocr_ray.pipelines import runner
+    from my_ocr_ray.sizing import PlanTaskSlots
+
+    docs_dir, media_path, _ = corpus_dirs
+    plans = []
+    extract = runner.extract
+
+    def spy(ds, **kw):
+        out = extract(ds, **kw)
+        ctx = out.context
+        plans.append((sorted(kw), ctx.op_resource_reservation_enabled,
+                      ctx.get_config("backpressure_policies.enabled", [])[-1:]))
+        return out
+
+    monkeypatch.setattr(runner, "extract", spy)
+    run_extract_partitioned(
+        docs_dir, media_path, str(tmp_path / "out"), num_partitions=2
+    )
+    assert plans == [(["media_lookup_ref"], False, [PlanTaskSlots])] * 2
+
+
 def test_manifest_lineage_contents(corpus_dirs, ray_session, tmp_path):
     docs_dir, media_path, _ = corpus_dirs
     out_dir = str(tmp_path / "out2")

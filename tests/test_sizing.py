@@ -177,11 +177,18 @@ def test_extract_pool_and_partitions_match_parent(cpus, fake_cpus, monkeypatch):
             configured.clear()
             ds = _recording(rows)
             # extract()'s defaults otherwise: planning must stay lazy
-            ex.extract(
+            out = ex.extract(
                 ds,
                 media_lookup_ref=None if join else "lookup-ref",
                 media_ds=_recording(None) if join else None,
             )
+            # only the broadcast plan's own context runs without Ray Data's
+            # per-operator reservation, admitted against the plan's slots
+            assert out.context is not ds.context
+            assert out.context.op_resource_reservation_enabled is join
+            assert _slot_admitted(out.context) is not join
+            assert ds.context.op_resource_reservation_enabled is True
+            assert not _slot_admitted(ds.context)
             # the join plan's actor pool keeps its reserve; the broadcast
             # plan's document tasks are bounded at the cluster's CPUs only
             # so that the benchmark's per-layer operator map
@@ -212,6 +219,41 @@ def test_extract_pool_and_partitions_match_parent(cpus, fake_cpus, monkeypatch):
             assert (got_parts, got_rows) == (n_parts, span_rows)
             want = sizing.hash_aggregators(span_rows or 0, n_parts)
             assert ctx.max_hash_shuffle_aggregators == want
+
+
+def _slot_admitted(ctx) -> bool:
+    from ray.data._internal.execution.backpressure_policy import (
+        ENABLED_BACKPRESSURE_POLICIES_CONFIG_KEY,
+    )
+
+    return sizing.PlanTaskSlots in ctx.get_config(
+        ENABLED_BACKPRESSURE_POLICIES_CONFIG_KEY, []
+    )
+
+
+@pytest.mark.parametrize("cpus", CPUS)
+def test_plan_task_slots(cpus, fake_cpus):
+    """A task plan runs one task fewer than the cluster's CPUs, over all its
+    operators together, and at least one."""
+    fake_cpus(cpus)
+    slots = sizing.plan_task_slots()
+    assert slots == max(1, cpus - 1)
+
+    class Op:
+        def __init__(self, active):
+            self.active = active
+
+        def num_active_tasks(self):
+            return self.active
+
+    for running in range(slots + 2):
+        # the read, the document step and the write share the budget
+        split = (running // 3, running - 2 * (running // 3), running // 3)
+        ops = [Op(n) for n in split]
+        policy = sizing.PlanTaskSlots(DataContext(), {op: None for op in ops}, None)
+        for op in ops:
+            assert policy.can_add_input(op) is (running < slots)
+            assert policy.max_task_output_bytes_to_read(op) is None
 
 
 def test_hash_aggregators_rule():
@@ -456,6 +498,25 @@ def test_configure_hash_shuffle_requires_rows():
     assert rows.default is inspect.Parameter.empty
 
 
+def test_context_copy_only_in_sizing():
+    """One home for rebinding a dataset to a copied DataContext
+    (``plan_context``), used by the exchanges and the broadcast plan."""
+    hits = {
+        path: src.count("_plan.deep_copy()")
+        for path, src in _sources().items()
+        if "_plan.deep_copy()" in src
+    }
+    assert hits == {"sizing.py": 1}
+
+
+def test_media_lookup_build_claim_only_in_sizing():
+    """``load_media_lookup``'s build task takes its CPU claim from
+    ``sizing.MEDIA_LOOKUP_BUILD_CPUS``, not a literal."""
+    src = _sources()["pipelines/extract.py"]
+    assert "@ray.remote(num_cpus=MEDIA_LOOKUP_BUILD_CPUS)" in src
+    assert not re.search(r"num_cpus=\d", src)
+
+
 def test_configure_hash_shuffle_defined_only_in_sizing():
     pat = re.compile(r"^\s*def\s+_?configure_hash_shuffle\b", re.M)
     defs = [path for path, src in _sources().items() if pat.search(src)]
@@ -486,6 +547,31 @@ def test_extract_leaves_caller_context_unchanged(ray_session):
     assert _shuffle_fields(ctx) == before
     assert out.context is not ctx
     assert out.context.max_hash_shuffle_aggregators == 1
+
+
+def test_broadcast_plan_context_runs_unreserved(ray_session):
+    """The broadcast plan runs on its own context copy with Ray Data's
+    per-operator reservation off and its tasks admitted against one slot
+    budget (``sizing.PlanTaskSlots``); the caller's context and the join
+    plan's keep Ray's defaults.
+    Planning executes nothing, so the lookup ref is never resolved."""
+    from my_ocr_ray.pipelines.extract import extract
+
+    docs_ds, media_ds, _ = _join_inputs()
+    ctx = docs_ds.context
+    before = (_shuffle_fields(ctx), ctx.op_resource_reservation_enabled)
+    out = extract(docs_ds, media_lookup_ref="never-resolved")
+    assert out.context is not ctx
+    assert out.context.op_resource_reservation_enabled is False
+    assert _slot_admitted(out.context)
+    assert docs_ds.context is ctx
+    assert (_shuffle_fields(ctx), ctx.op_resource_reservation_enabled) == before
+    assert before[1] is True and not _slot_admitted(ctx)
+    join = extract(docs_ds, media_ds=media_ds)
+    assert join.context.op_resource_reservation_enabled is True
+    assert not _slot_admitted(join.context)
+    assert (_shuffle_fields(ctx), ctx.op_resource_reservation_enabled) == before
+    assert not _slot_admitted(ctx)
 
 
 def test_join_plan_starts_one_aggregator_per_exchange(ray_session):
