@@ -12,11 +12,11 @@ runs the whole row-local chain over a read block; no actor starts:
 The ``doc_id`` exchange runs only on the ``media_ds`` shuffle join, which
 redistributes a document's span rows by ``media_ref``:
 
-    read -> map_batches(explode_spans)            # 1:N fan-out, zero-copy Arrow
-         -> map_batches(strip_boilerplate)        # vectorized text routing
-         -> join(media_ds, on=media_ref)          # the media shuffle join
-         -> map_batches(OCRStage, concurrency=N)  # stateful actor pool (media)
-         -> doc_id hash exchange                  # the reassembly shuffle
+    read -> map_batches(explode_spans)       # 1:N fan-out, zero-copy Arrow
+         -> map_batches(strip_boilerplate)   # vectorized text routing
+         -> join(media_ds, on=media_ref)     # the media shuffle join
+         -> map_batches(OCRStage(...))       # tasks: OCR media, decode pdf
+         -> doc_id hash exchange             # the reassembly shuffle
          -> write_parquet / Dataset
 
 Media strategy:
@@ -37,7 +37,6 @@ import pyarrow.parquet as pq
 
 from ..sizing import (
     MEDIA_LOOKUP_BUILD_CPUS,
-    actor_pool,
     admit_by_plan_slots,
     approx_rows,
     cluster_cpus,
@@ -186,9 +185,9 @@ def extract(
     never leave the task call that produced them.
 
     Media strategy: pass ``media_lookup_ref`` (broadcast, from
-    :func:`load_media_lookup`) or ``media_ds`` (shuffle join);
-    ``extract(ds, **resolve_media(path))`` picks one from the media table's
-    footer-estimated bytes vs the object store size.
+    :func:`load_media_lookup`) or ``media_ds`` (shuffle join), not both
+    (``ValueError``); ``extract(ds, **resolve_media(path))`` picks one from
+    the media table's footer-estimated bytes vs the object store size.
 
     Plan: with a broadcast lookup the plan is exchange-free
     (``read -> DocOCRStage -> write``) and starts no actor: each
@@ -196,14 +195,11 @@ def extract(
     boilerplate, extracts HTML, recognizes media and decodes pdf spans (in
     slices of at most ``ocr_batch_size`` rows) and rebuilds the documents
     once. Only the ``media_ds`` join scatters a document's span rows, so
-    only it pays the ``doc_id`` hash exchange. A hot document is one input row like any other and takes the
-    plan its media strategy selects.
-
-    Resource fit on the join plan (``my_ocr_ray.sizing``): the OCR actor
-    pool, the hash-shuffle aggregators and the join aggregators must all
-    fit on the cluster simultaneously or the streaming executor stalls —
-    the pool is sized to what's left after reserving for both exchanges'
-    aggregators and the IO tasks.
+    only it pays the ``doc_id`` hash exchange; its OCR step is an
+    ``OCRStage`` instance run as tasks over the joined span rows, in
+    batches of ``ocr_batch_size``. A hot document is one input row like
+    any other and takes the plan its media strategy selects. Neither plan
+    starts an actor for OCR.
 
     Shuffle sizing: the partition count (shared by the join and the
     ``doc_id`` exchange) scales with the INPUT SIZE (estimated span rows /
@@ -212,10 +208,14 @@ def extract(
     follow the rows (``sizing.hash_aggregators``: one per 2M span rows,
     enough that none claims over one CPU). The aggregator CPU claim stays
     a fixed budget (~cpus/8) regardless of partition count by shrinking the
-    per-partition claim, so growing data never shrinks the OCR pool. The
-    join plan runs on its own copy of ``docs_ds``'s DataContext; the
-    caller's is untouched.
+    per-partition claim, so growing data never takes CPUs from the OCR
+    tasks. The join plan runs on its own copy of ``docs_ds``'s
+    DataContext; the caller's is untouched.
     """
+    if media_lookup_ref is not None and media_ds is not None:
+        raise ValueError(
+            "pass media_lookup_ref (broadcast) or media_ds (shuffle join), not both"
+        )
     cpus = cluster_cpus()
     if media_ds is None:
         # no step scatters a document's span rows: no doc_id exchange, and
@@ -267,17 +267,10 @@ def extract(
         on=("media_ref",),
     )
     processed = spans.map_batches(
-        OCRStage,
-        fn_constructor_kwargs={
-            "media_lookup_ref": media_lookup_ref,
-            "on_error": on_error,
-            # stage extension seam (rotation TTA, preprocessor, ...)
-            **(ocr_stage_kwargs or {}),
-        },
+        # stage extension seam (rotation TTA, preprocessor, ...)
+        OCRStage(on_error=on_error, **(ocr_stage_kwargs or {})),
         batch_format="pyarrow",
         batch_size=ocr_batch_size,
-        # the IO tasks and both exchanges' aggregators run beside the pool
-        concurrency=actor_pool(2 + 2 * aggregator_cpu_budget),
     )
 
     return reassemble_hash(processed, num_partitions=shuffle_partitions)

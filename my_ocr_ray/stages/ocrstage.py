@@ -1,19 +1,21 @@
 """OCR stages: decode -> detect -> crop -> recognize -> stitch.
 
 The Ray-Data-native form of the reference's two-stage flow
-(``mmocr/utils/ocr.py:146-201``). :class:`SpanOCR` recognizes one Arrow
+(``mmocr/utils/ocr.py:146-201``). :class:`OCRStage` recognizes one Arrow
 batch of span rows; the recognizer's model (glyph templates) is
 module-level state of ``functions/ocr.py``, so a reused Ray worker keeps it
-across calls and jobs. Two plans drive it:
+across calls and jobs, and no stage needs an actor to hold it. Both plans
+pass a callable INSTANCE to ``map_batches``, which Ray Data runs as
+stateless tasks:
 
-- the media-join plan runs :class:`OCRStage`, a callable CLASS for
-  ``map_batches(OCRStage, concurrency=N, batch_size=B)``: a stateful actor
-  pool over span rows that carry their ``bytes`` column;
-- the exchange-free plan runs :class:`DocOCRStage`, a callable INSTANCE
-  that Ray Data runs as stateless tasks: one call explodes a block of whole
-  documents, strips boilerplate, extracts HTML, sends the media and pdf
-  spans through :class:`SpanOCR` and rebuilds the documents once. No actor
-  starts on this plan, so no job waits for one to boot.
+- the media-join plan runs :class:`OCRStage` over span rows that carry
+  their ``bytes`` column;
+- the exchange-free plan runs :class:`DocOCRStage`: one call explodes a
+  block of whole documents, strips boilerplate, extracts HTML, sends the
+  media and pdf spans through :class:`OCRStage` and rebuilds the documents
+  once.
+
+No actor starts on either plan, so no job waits for one to boot.
 
 Recognition is batch-at-a-time: every word crop of a call (TTA variants and
 preprocessor output included) is glyph-segmented in one padded-strip pass,
@@ -112,7 +114,7 @@ class _MediaTableLookup:
     def precompute(cls, tbl: pa.Table) -> dict:
         """One-time index build (in ``load_media_lookup``'s task): returns
         the broadcast payload. The numpy arrays resolve zero-copy from
-        plasma, so resolving it in an actor or task is O(1) instead of an
+        plasma, so resolving it in a task is O(1) instead of an
         O(n log n) rebuild per process (at 2.8M refs the per-actor rebuild
         dominated pool ramp-up)."""
         import pyarrow.compute as _pc
@@ -207,7 +209,10 @@ def span_bytes(batch: pa.Table, idx: np.ndarray, media, on_error: str) -> list:
     if "bytes" in batch.column_names:
         # one vectorized take instead of per-row __getitem__/as_py
         return batch["bytes"].combine_chunks().take(take).to_pylist()
-    assert media is not None, "no bytes column and no media lookup"
+    if media is None:
+        raise ValueError(
+            "span rows carry no bytes column and no media lookup was given"
+        )
     queries = batch["media_ref"].combine_chunks().take(take).to_pylist()
     found = media.lookup_many(queries)
     if on_error != "skip":
@@ -231,11 +236,14 @@ MAX_X_DIST = 10 * SCALE
 MIN_Y_OVERLAP_RATIO = 0.5
 
 
-class SpanOCR:
+class OCRStage:
     """Span-row recognition over an already-resolved media source: media
-    rows are OCRed, pdf rows decoded, every other row passes through. Holds
-    no Ray state, so a task can build one per call (:class:`DocOCRStage`)
-    and the actor keeps one for its lifetime (:class:`OCRStage`)."""
+    rows are OCRed, pdf rows decoded, every other row passes through.
+
+    Holds no Ray state: the media-join plan runs an instance as Ray Data
+    tasks (``map_batches(OCRStage(...), batch_size=B)``) over span rows that
+    carry their ``bytes`` column, and :class:`DocOCRStage` builds one per
+    call over the resolved broadcast lookup."""
 
     def __init__(
         self,
@@ -381,24 +389,6 @@ def _project_span_rows(batch: pa.Table) -> pa.Table:
     return batch.select(keep)
 
 
-class OCRStage(SpanOCR):
-    """OCR actor of the media-join plan:
-    ``map_batches(OCRStage, concurrency=N)`` over span rows that carry their
-    ``bytes`` column. A broadcast ``media_lookup_ref`` is resolved once, in
-    ``__init__``."""
-
-    def __init__(self, media_lookup_ref=None, on_error: str = "raise", **kwargs):
-        super().__init__(get_media_lookup(media_lookup_ref), on_error, **kwargs)
-        # long-lived actor state should not be rescanned by cyclic GC on
-        # every hot-loop collection. Collect first: frozen garbage is never
-        # freed, and in a driver that garbage can hold a finished plan's
-        # actor handles, which would keep those actors (and their CPUs)
-        import gc
-
-        gc.collect()
-        gc.freeze()
-
-
 class DocOCRStage:
     """Document task of the exchange-free plan: explode -> strip
     boilerplate and extract HTML -> recognize media and decode pdf spans ->
@@ -420,7 +410,7 @@ class DocOCRStage:
     and is left out of the plan (the reference detects, recognizes and
     stitches one document in one process, ``mmocr/utils/ocr.py:193-199``).
 
-    Only ``kind in {media, pdf}`` rows reach :meth:`SpanOCR.__call__`, in
+    Only ``kind in {media, pdf}`` rows reach :meth:`OCRStage.__call__`, in
     slices of at most ``ocr_batch_size`` rows (slices may straddle
     documents), so a document with thousands of spans keeps the span-row
     path's batch and memory bound. Text and html spans are finished by
@@ -442,7 +432,7 @@ class DocOCRStage:
         self.ocr_stage_kwargs = dict(ocr_stage_kwargs or {})
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        stage = SpanOCR(
+        stage = OCRStage(
             get_media_lookup(self.media_lookup_ref), self.on_error,
             **self.ocr_stage_kwargs,
         )

@@ -1,13 +1,14 @@
 """Exchange-free extraction plan: with a broadcast media lookup
 ``extract()`` runs ``read -> DocOCRStage -> write`` with no ``doc_id``
-exchange, hot documents included, and starts no actor: the one document
-step is a Ray task, and only media and pdf rows reach ``SpanOCR``. The join
-path keeps its exchange and its ``OCRStage`` actor pool. Every path must
-produce the same documents."""
+exchange, hot documents included: the one document step is a Ray task, and
+only media and pdf rows reach ``OCRStage``. The join path keeps its
+exchange and runs ``OCRStage`` as Ray tasks too, so no plan starts an OCR
+actor. Every path must produce the same documents."""
 import gc
 import os
 import time
 
+import numpy as np
 import pyarrow as pa
 import pytest
 
@@ -16,9 +17,9 @@ from my_ocr_ray.schema import DOCUMENTS_SCHEMA
 from my_ocr_ray.stages.ocrstage import (
     DocOCRStage,
     OCRStage,
-    SpanOCR,
     _MediaTableLookup,
     resolve_media_lookup,
+    span_bytes,
 )
 from my_ocr_ray.stages.route import explode_spans
 from my_ocr_ray.stages.textstage import boilerplate_mask
@@ -116,17 +117,18 @@ def test_plan_shape(put_media_lookup, corpus, path, shuffles):
     ops = _operators(ds)
     assert sum("Shuffle(" in op for op in ops) == shuffles, ops
     assert any("OCRStage" in op for op in ops), ops
+    # no plan runs an actor pool: every OCR step is a task operator
+    assert "ActorPoolMapOperator" not in physical, physical
     if path != "join":
         # one task operator for the whole document step, fused with neither
-        # the input nor anything after it, and no actor pool
+        # the input nor anything after it
         maps = [op for op in ops if "MapBatches" in op]
         assert len(maps) == 1 and "MapBatches(DocOCRStage)" in maps[0], ops
         assert "TaskPoolMapOperator[MapBatches(DocOCRStage)]" in physical, physical
-        assert "ActorPoolMapOperator" not in physical, physical
     else:
         assert any("Join(" in op for op in ops), ops
         assert not any("DocOCRStage" in op for op in ops), ops
-        assert "ActorPoolMapOperator[MapBatches(OCRStage)]" in physical, physical
+        assert "TaskPoolMapOperator[MapBatches(OCRStage)]" in physical, physical
     assert _got_map(ds.take_all()) == exp
 
 
@@ -148,6 +150,52 @@ def test_small_ocr_slices_match_goldens(put_media_lookup, corpus, path):
         assert _got_map(out) == _expected_map(expected), ocr_batch_size
 
 
+@pytest.mark.parametrize("path", ["broadcast", "join"])
+def test_ocr_stage_kwargs_reach_ocr_tasks(put_media_lookup, corpus, tmp_path, path):
+    """``ocr_stage_kwargs`` reach the OCR tasks of both plans: the
+    recognition preprocessor passed in runs inside them, and with rotation
+    TTA on (``tta_rotations=2``) the documents still equal the goldens."""
+    import ray.data
+
+    docs, _, expected = corpus
+    out = extract(
+        ray.data.from_arrow(docs).repartition(4),
+        ocr_stage_kwargs={
+            "tta_rotations": 2,
+            "preprocessor": _records_first_call(str(tmp_path), 0),
+        },
+        **_plan_kwargs(put_media_lookup, corpus, path),
+    ).take_all()
+    assert list(tmp_path.iterdir())
+    assert _got_map(out) == _expected_map(expected)
+
+
+def test_extract_takes_one_media_source(put_media_lookup, corpus):
+    """A broadcast lookup and a media Dataset together are refused, naming
+    both, before any plan is built."""
+    import ray.data
+
+    docs, media, _ = corpus
+    with pytest.raises(ValueError, match="media_lookup_ref.*media_ds"):
+        extract(
+            ray.data.from_arrow(docs),
+            media_lookup_ref=put_media_lookup(media),
+            media_ds=ray.data.from_arrow(media),
+        )
+
+
+def test_span_bytes_without_a_media_source(corpus):
+    """Span rows without a ``bytes`` column and no media lookup raise
+    ValueError, also under ``python -O``."""
+    docs, _, _ = corpus
+    rows = explode_spans(docs)
+    media_idx = np.flatnonzero(np.asarray(rows["kind"].to_pylist()) == "media")
+    with pytest.raises(ValueError, match="no media lookup"):
+        span_bytes(rows, media_idx, None, "raise")
+    with pytest.raises(ValueError, match="no media lookup"):
+        OCRStage()(rows)
+
+
 def _span_keys(rows, kinds):
     """Sorted (doc_id, offset) of the span rows whose kind is in ``kinds``."""
     return sorted(
@@ -160,18 +208,18 @@ def _span_keys(rows, kinds):
 
 def test_doc_stage_bounds_ocr_slices(put_media_lookup, corpus, monkeypatch):
     """One call on the whole corpus sends every media and pdf row to
-    ``SpanOCR`` exactly once, in slices of at most ``ocr_batch_size`` rows,
+    ``OCRStage`` exactly once, in slices of at most ``ocr_batch_size`` rows,
     and no text, html or roster row; it strips every boilerplate text span
     and returns the goldens."""
     docs, media, expected = corpus
     slices = []
-    span_call = SpanOCR.__call__
+    span_call = OCRStage.__call__
 
     def spy(self, batch):
         slices.append(batch)
         return span_call(self, batch)
 
-    monkeypatch.setattr(SpanOCR, "__call__", spy)
+    monkeypatch.setattr(OCRStage, "__call__", spy)
     out = DocOCRStage(media_lookup_ref=put_media_lookup(media), ocr_batch_size=16)(docs)
     assert len(slices) > 1 and max(b.num_rows for b in slices) <= 16
     assert set().union(*(b["kind"].to_pylist() for b in slices)) <= {"media", "pdf"}
@@ -207,17 +255,15 @@ def test_parse_resolves_every_lookup_form(put_media_lookup, corpus, form, tmp_pa
 @pytest.mark.parametrize("form", ["dict", "table"])
 def test_resolve_rejects_other_lookup_forms(ray_session, corpus, form):
     """A dict of refs or a bare Arrow table is not a media lookup: resolving
-    it raises TypeError naming ``load_media_lookup``, in the resolver, in
-    the OCR actor's constructor and on the OCR task's first call (the task
-    carries only the ref until then), before any span is read."""
+    it raises TypeError naming ``load_media_lookup``, in the resolver and
+    on the OCR task's first call (the task carries only the ref until
+    then), before any span is read."""
     docs, media, _ = corpus
     table = media.select(["media_ref", "bytes"]).combine_chunks()
     refs, data = table["media_ref"].to_pylist(), table["bytes"].to_pylist()
     stale = dict(zip(refs, data)) if form == "dict" else table
     with pytest.raises(TypeError, match="load_media_lookup"):
         resolve_media_lookup(stale)
-    with pytest.raises(TypeError, match="load_media_lookup"):
-        OCRStage(media_lookup_ref=ray_session.put(stale))
     task = DocOCRStage(media_lookup_ref=ray_session.put(stale))
     with pytest.raises(TypeError, match="load_media_lookup"):
         task(docs)
@@ -392,39 +438,24 @@ def _dies_on_first_call(stage_cls, marker):
     return KillOnce
 
 
-def test_killed_ocr_task_worker_retries(put_media_lookup, corpus, tmp_path, monkeypatch):
-    """The worker process running an OCR task dies on its first call: Ray
-    Data retries the task on another worker (the task carries the media
-    lookup ref) and the job still yields the goldens."""
+@pytest.mark.parametrize("path", ["broadcast", "join"])
+def test_killed_ocr_task_worker_retries(put_media_lookup, corpus, tmp_path, monkeypatch, path):
+    """The worker process running an OCR task (``DocOCRStage`` on the
+    broadcast plan, ``OCRStage`` on the join plan) dies on its first call:
+    Ray Data retries the task on another worker (the task carries its
+    stage and the media lookup ref) and the job still yields the goldens."""
     import ray.data
 
     from my_ocr_ray.pipelines import extract as extract_mod
 
-    docs, media, expected = corpus
+    docs, _, expected = corpus
     marker = str(tmp_path / "killed")
-    monkeypatch.setattr(extract_mod, "DocOCRStage", _dies_on_first_call(DocOCRStage, marker))
+    name = "OCRStage" if path == "join" else "DocOCRStage"
+    stage_cls = getattr(extract_mod, name)
+    monkeypatch.setattr(extract_mod, name, _dies_on_first_call(stage_cls, marker))
     out = extract(
         ray.data.from_arrow(docs).repartition(4),
-        media_lookup_ref=put_media_lookup(media),
-    ).take_all()
-    assert os.path.exists(marker)
-    assert _got_map(out) == _expected_map(expected)
-
-
-def test_killed_ocr_actor_restarts(corpus, tmp_path, monkeypatch):
-    """The join plan's OCR actor dies on its first call: Ray restarts it
-    from its constructor arguments and retries the batch, and the job still
-    yields the goldens."""
-    import ray.data
-
-    from my_ocr_ray.pipelines import extract as extract_mod
-
-    docs, media, expected = corpus
-    marker = str(tmp_path / "killed")
-    monkeypatch.setattr(extract_mod, "OCRStage", _dies_on_first_call(OCRStage, marker))
-    out = extract(
-        ray.data.from_arrow(docs).repartition(4),
-        media_ds=ray.data.from_arrow(media),
+        **_plan_kwargs(put_media_lookup, corpus, path),
     ).take_all()
     assert os.path.exists(marker)
     assert _got_map(out) == _expected_map(expected)
@@ -444,12 +475,21 @@ def test_broadcast_plan_leaves_no_actor_behind(ray_session, put_media_lookup, co
     """With the driver's cyclic GC off (a long-lived driver between
     collections), a finished broadcast extract() leaves no OCR actor alive
     and every CPU free, so a media-join extract() right after it runs to the
-    goldens. A finished plan's actors are freed only by a collection; the
-    broadcast plan starts none."""
+    goldens, and leaves no OCR actor alive either. A finished plan's actors
+    are freed only by a collection; neither plan starts an OCR actor (the
+    join plan's hash-shuffle aggregators are actors, and stay until then)."""
     import ray.data
     from ray._private import state
 
     docs, media, expected = corpus
+
+    def new_ocr_actors():
+        return [
+            a["ActorClassName"] for aid, a in state.actors().items()
+            if aid not in before and a["State"] != "DEAD"
+            and "OCRStage" in a["ActorClassName"]
+        ]
+
     gc.collect()  # earlier tests' finished plans
     assert _wait_all_cpus_free(ray_session)
     before = set(state.actors())
@@ -459,20 +499,17 @@ def test_broadcast_plan_leaves_no_actor_behind(ray_session, put_media_lookup, co
             ray.data.from_arrow(docs).repartition(4),
             media_lookup_ref=put_media_lookup(media),
         ).materialize()
-        alive = [
-            a["ActorClassName"] for aid, a in state.actors().items()
-            if aid not in before and a["State"] != "DEAD"
-        ]
-        assert not [name for name in alive if "OCRStage" in name], alive
+        assert not new_ocr_actors()
         assert _wait_all_cpus_free(ray_session), ray_session.available_resources()
         out = extract(
             ray.data.from_arrow(docs).repartition(4),
             media_ds=ray.data.from_arrow(media),
-        ).take_all()
-        assert _got_map(out) == _expected_map(expected)
+        ).materialize()
+        assert not new_ocr_actors()
+        assert _got_map(out.take_all()) == _expected_map(expected)
     finally:
         gc.enable()
-        gc.collect()  # the join plan's actors
+        gc.collect()  # the join plan's aggregators
 
 
 def _records_first_call(out_dir, hold_s):

@@ -47,14 +47,6 @@ def ref_extract_partitions(n_docs, cpus):  # extract(), inline
     return int(max(floor, min(cap, by_data)))
 
 
-def ref_ocr_pool(cpus, join):  # extract(), inline
-    aggregator_cpu_budget = max(1.0, cpus / 8)
-    reserve = 2 + aggregator_cpu_budget
-    if join:
-        reserve += aggregator_cpu_budget
-    return max(1, int(cpus - reserve))
-
-
 def ref_ann_pool(requested, cpus):  # ann._pool_size
     return max(1, min(requested, cpus - 1))
 
@@ -189,13 +181,12 @@ def test_extract_pool_and_partitions_match_parent(cpus, fake_cpus, monkeypatch):
             assert _slot_admitted(out.context) is not join
             assert ds.context.op_resource_reservation_enabled is True
             assert not _slot_admitted(ds.context)
-            # the join plan's actor pool keeps its reserve; the broadcast
-            # plan's document tasks are bounded at the cluster's CPUs only
-            # so that the benchmark's per-layer operator map
+            # the join plan runs its OCR step as tasks, with no pool; the
+            # broadcast plan's document tasks are bounded at the cluster's
+            # CPUs only so that the benchmark's per-layer operator map
             # (perfbench/opstats.py) finds them unfused from the read and
             # the write; ROADMAP.md item 1, step 0, removes that bound
-            want_pool = ref_ocr_pool(cpus, join) if join else cpus
-            assert ds.values("pool") == {want_pool}
+            assert ds.values("pool") == (set() if join else {cpus})
             parts = ds.values("partitions")
             # the caller's context is never written
             assert _shuffle_fields(ds.context) == _DEFAULT_SHUFFLE_FIELDS
