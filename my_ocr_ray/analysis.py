@@ -742,7 +742,7 @@ def zscore_by_source(docs_ds):
 
 
 def normalize_text(docs_ds):
-    """Canonical text cleanup -> (doc_id, text_norm, changed): Unicode NFC
+    r"""Canonical text cleanup -> (doc_id, text_norm, changed): Unicode NFC
     normalization, whitespace runs collapsed to single spaces, edges
     trimmed; ``changed`` = 1 when the cleanup altered the text. The
     canonicalization pass every web-scale corpus runs before hashing /

@@ -28,36 +28,75 @@ def _batch_vectors(batch: pa.Table) -> np.ndarray:
     return np.stack(batch["embedding"].to_numpy(zero_copy_only=False))
 
 
+def _partial_table(out_q, out_id, out_sim) -> pa.Table:
+    return pa.Table.from_pydict(
+        {
+            "query_id": pa.array(out_q, pa.int64()),
+            "vec_id": pa.array(out_id, pa.int64()),
+            "sim": pa.array(out_sim, pa.float64()),
+        }
+    )
+
+
 class _TopKPartial:
-    """map_batches task fn: batch-local top-k per query (queries broadcast)."""
+    """map_batches task stage: batch-local top-k per query. The instance
+    holds the broadcast query ref, never the queries: each call resolves
+    it (zero-copy out of the object store) and drops it, so Ray Data runs
+    the stage as tasks on every core, with no actor to start."""
 
     def __init__(self, queries_ref, k: int):
-        import ray
-
-        q = ray.get(queries_ref)
-        self.qids = q["qids"]
-        self.qmat = _unit(q["vectors"])
+        self.queries_ref = queries_ref
         self.k = k
 
+    def _queries(self):
+        import ray
+
+        q = ray.get(self.queries_ref)
+        return q["qids"], _unit(q["vectors"])
+
     def __call__(self, batch: pa.Table) -> pa.Table:
+        qids, qmat = self._queries()
         vecs = _unit(_batch_vectors(batch))
         ids = batch["vec_id"].to_numpy(zero_copy_only=False)
-        sims = self.qmat @ vecs.T  # (Q, B)
+        sims = qmat @ vecs.T  # (Q, B)
         k = min(self.k, sims.shape[1])
         # deterministic candidate cut: sort by (-sim, vec_id)
         out_q, out_id, out_sim = [], [], []
         for qi in range(sims.shape[0]):
             order = np.lexsort((ids, -sims[qi]))[:k]
-            out_q.extend([self.qids[qi]] * len(order))
+            out_q.extend([qids[qi]] * len(order))
             out_id.extend(ids[order])
             out_sim.extend(sims[qi][order])
-        return pa.Table.from_pydict(
-            {
-                "query_id": pa.array(out_q, pa.int64()),
-                "vec_id": pa.array(out_id, pa.int64()),
-                "sim": pa.array(out_sim, pa.float64()),
-            }
-        )
+        return _partial_table(out_q, out_id, out_sim)
+
+
+class _ProbedPartial(_TopKPartial):
+    """:class:`_TopKPartial` restricted to each query's ``nprobe`` IVF
+    cells nearest to it (batches carry an assigned ``cell`` column)."""
+
+    def __init__(self, queries_ref, k: int, cmat: np.ndarray, nprobe: int):
+        super().__init__(queries_ref, k)
+        self.cmat = cmat
+        self.nprobe = nprobe
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        qids, qmat = self._queries()
+        probed = np.argsort(-(qmat @ self.cmat.T), axis=1)[:, : self.nprobe]
+        cells = batch["cell"].to_numpy(zero_copy_only=False)
+        vecs = _unit(_batch_vectors(batch))
+        ids = batch["vec_id"].to_numpy(zero_copy_only=False)
+        out_q, out_id, out_sim = [], [], []
+        for qi in range(len(qids)):
+            mask = np.isin(cells, probed[qi])
+            if not mask.any():
+                continue
+            sims = qmat[qi] @ vecs[mask].T
+            sub_ids = ids[mask]
+            order = np.lexsort((sub_ids, -sims))[: self.k]
+            out_q.extend([qids[qi]] * len(order))
+            out_id.extend(sub_ids[order])
+            out_sim.extend(sims[order])
+        return _partial_table(out_q, out_id, out_sim)
 
 
 def _final_topk_factory(k: int):
@@ -91,12 +130,7 @@ def brute_force_topk(emb_ds, queries_ref, k: int = 5):
     ``queries_ref`` is a ``ray.put`` of {"qids": int array, "vectors": (Q,D)}.
     Ties broken by vec_id ascending for bit-stable ranks.
     """
-    partial = emb_ds.map_batches(
-        _TopKPartial,
-        batch_format="pyarrow",
-        fn_constructor_args=(queries_ref, k),
-        concurrency=actor_pool(1, cap=4),
-    )
+    partial = emb_ds.map_batches(_TopKPartial(queries_ref, k), batch_format="pyarrow")
     return partial.groupby("query_id").map_groups(
         _final_topk_factory(k), batch_format="pyarrow"
     )
@@ -154,7 +188,9 @@ def knn_graph(emb_ds, k: int = 3):
     materializes (ids, unit matrix) once in ``__init__``. ZERO exchange:
     every output row leaves its task already final, so shuffle volume is 0
     and compute is the unavoidable O(n^2) matmul spread across the pool
-    (``actor_pool(1, cap=4)``, the same as :func:`brute_force_topk`).
+    (``actor_pool(1, cap=4)``). The top-k searches have no such state and
+    run as tasks; this stage stays an actor because its build matrix is
+    real per-process state.
 
     100-TB path: an all-pairs build side cannot be broadcast at corpus
     scale — swap the build state for IVF cells (``train_ivf_centroids`` +
@@ -263,41 +299,8 @@ def ivf_topk(emb_ds, queries_ref, centroids: np.ndarray, k: int = 5, nprobe: int
         cells = (vecs @ cmat.T).argmax(axis=1).astype(np.int64)
         return batch.append_column("cell", pa.array(cells))
 
-    class _ProbedPartial(_TopKPartial):
-        def __init__(self, queries_ref, k, cmat, nprobe):
-            super().__init__(queries_ref, k)
-            qcells = self.qmat @ cmat.T  # (Q, C)
-            order = np.argsort(-qcells, axis=1)[:, :nprobe]
-            self.probed = [set(map(int, row)) for row in order]
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            cells = batch["cell"].to_numpy(zero_copy_only=False)
-            vecs = _unit(_batch_vectors(batch))
-            ids = batch["vec_id"].to_numpy(zero_copy_only=False)
-            out_q, out_id, out_sim = [], [], []
-            for qi in range(len(self.qids)):
-                mask = np.isin(cells, list(self.probed[qi]))
-                if not mask.any():
-                    continue
-                sims = self.qmat[qi] @ vecs[mask].T
-                sub_ids = ids[mask]
-                order = np.lexsort((sub_ids, -sims))[: self.k]
-                out_q.extend([self.qids[qi]] * len(order))
-                out_id.extend(sub_ids[order])
-                out_sim.extend(sims[order])
-            return pa.Table.from_pydict(
-                {
-                    "query_id": pa.array(out_q, pa.int64()),
-                    "vec_id": pa.array(out_id, pa.int64()),
-                    "sim": pa.array(out_sim, pa.float64()),
-                }
-            )
-
     partial = emb_ds.map_batches(assign, batch_format="pyarrow").map_batches(
-        _ProbedPartial,
-        batch_format="pyarrow",
-        fn_constructor_args=(queries_ref, k, cmat, nprobe),
-        concurrency=actor_pool(1, cap=4),
+        _ProbedPartial(queries_ref, k, cmat, nprobe), batch_format="pyarrow"
     )
     return partial.groupby("query_id").map_groups(
         _final_topk_factory(k), batch_format="pyarrow"

@@ -112,30 +112,36 @@ def choose_media_strategy(
 
 
 def _parquet_files(paths) -> list:
-    """A parquet file, a directory of ``*.parquet`` or a list -> file list."""
+    """A parquet file, a directory of ``*.parquet`` or a list -> file list.
+
+    Raises ``FileNotFoundError`` naming ``paths`` when they resolve to no
+    file or name one that does not exist: an empty media directory would
+    otherwise estimate 0 bytes and fail inside the first OCR task."""
     import glob as _glob
 
     if not isinstance(paths, str):
-        return list(paths)
-    if os.path.isdir(paths):
-        return sorted(_glob.glob(os.path.join(paths, "*.parquet")))
-    return [paths]
+        files = list(paths)
+    elif os.path.isdir(paths):
+        files = sorted(_glob.glob(os.path.join(paths, "*.parquet")))
+    else:
+        files = [paths]
+    if not files or not all(os.path.isfile(f) for f in files):
+        raise FileNotFoundError(f"no parquet file at {paths!r}")
+    return files
 
 
-def estimate_parquet_bytes(paths) -> Optional[int]:
+def estimate_parquet_bytes(paths) -> int:
     """Uncompressed byte estimate from parquet footers only (sum of
     row-group ``total_byte_size``) — approximates the in-memory Arrow table
-    the broadcast path would pin in plasma. Never reads data pages."""
-    try:
-        total = 0
-        for p in _parquet_files(paths):
-            md = pq.ParquetFile(p).metadata
-            total += sum(
-                md.row_group(i).total_byte_size for i in range(md.num_row_groups)
-            )
-        return total
-    except Exception:
-        return None
+    the broadcast path would pin in plasma. Never reads data pages; a path
+    with no parquet file raises (:func:`_parquet_files`)."""
+    total = 0
+    for p in _parquet_files(paths):
+        md = pq.ParquetFile(p).metadata
+        total += sum(
+            md.row_group(i).total_byte_size for i in range(md.num_row_groups)
+        )
+    return total
 
 
 def resolve_media(media_path) -> dict:

@@ -10,7 +10,8 @@ structure evaluation via ``cal_row_col_f1`` (row/col grouping F1).
 Ray-Data-first rebuild: a deterministic KIE "form" derives from each
 ``documents`` row (token i = one cell on an ``ncols`` grid, its 8-vertex box
 built and ``sort_vertex8``-normalized exactly like the annotation ingest),
-the prediction stage is an actor-pool ``map_batches`` class that
+the prediction stage is a callable ``map_batches`` instance (run as Ray
+Data tasks) that
 1. classifies each cell's token with the deterministic tokenize-classify
    head (``functions.tokenizer.classify_tokens``, the BERT stand-in),
 2. predicts row/col structure FROM BOX GEOMETRY: centroid quantization
@@ -73,14 +74,15 @@ def _bucket_edges(bucket: np.ndarray) -> list[tuple[int, int]]:
 
 
 class KIEGraphStage:
-    """Actor-pool stage: documents block -> per-doc table-structure metrics
+    """Task stage: documents block -> per-doc table-structure metrics
     (doc_id, n_cells, n_num, n_obj, row_f1, col_f1, rowcol_f1).
 
-    Setup (regex compile) happens once per actor in ``__init__``; ``__call__``
-    is per-batch. Cell boxes go through ``sort_vertex8`` — the same
-    normalization ``kie_dataset._parse_anno_info`` applies on ingest — and
-    the predicted grouping is computed from the NORMALIZED boxes' centroids,
-    so the geometry path is exercised end to end."""
+    The instance holds only ``ncols`` and a compiled regex, nothing worth a
+    process of its own, so Ray Data runs it as tasks. Cell boxes go
+    through ``sort_vertex8`` — the same normalization
+    ``kie_dataset._parse_anno_info`` applies on ingest — and the predicted
+    grouping is computed from the NORMALIZED boxes' centroids, so the
+    geometry path is exercised end to end."""
 
     def __init__(self, ncols: int = NCOLS):
         self.ncols = ncols
@@ -140,22 +142,8 @@ class KIEGraphStage:
         return pa.Table.from_pylist(rows, schema=_EMPTY.schema)
 
 
-def kie_rowcol(docs_ds, ncols: int = NCOLS, concurrency: int | None = None):
-    """documents -> per-doc KIE table-structure metrics via the actor-pool
-    graph stage. Pure map-side: zero exchanges, streams at any scale."""
-    if concurrency is None:
-        # map-side only (no exchanges compete for CPUs) — size the pool to
-        # the cluster (reserving two cores for the parquet read tasks) but
-        # never beyond the work available: actor startup is the whole cost
-        # on small inputs (~500 docs/actor floor), while big inputs get
-        # every core
-        from ..sizing import actor_pool, approx_rows
-
-        rows = approx_rows(docs_ds)
-        concurrency = actor_pool(2, cap=None if rows is None else -(-int(rows) // 500))
-    return docs_ds.map_batches(
-        KIEGraphStage,
-        batch_format="pyarrow",
-        concurrency=concurrency,
-        fn_constructor_kwargs={"ncols": ncols},
-    )
+def kie_rowcol(docs_ds, ncols: int = NCOLS):
+    """documents -> per-doc KIE table-structure metrics via the graph
+    stage, run as tasks. Pure map-side: zero exchanges, streams at any
+    scale."""
+    return docs_ds.map_batches(KIEGraphStage(ncols), batch_format="pyarrow")

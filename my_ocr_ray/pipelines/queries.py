@@ -71,15 +71,6 @@ def _png_media(media):
     )
 
 
-def _decode_pool(cap: int = 24) -> int:
-    """Actor-pool ceiling for per-row decode stages (PDF/WAV/PNG/glyph):
-    cluster CPUs minus 4 for the upstream render tasks and IO, at least 2
-    actors (the resource-fit rule, DESIGN.md §2)."""
-    from ..sizing import actor_pool
-
-    return actor_pool(4, cap=cap, floor=2)
-
-
 # ---------------------------------------------------------------------------
 # interleaved-span family (explode / strip / reassemble with SQL oracles)
 # ---------------------------------------------------------------------------
@@ -1093,8 +1084,8 @@ def q_tfidf(sf_dir: str):
 
 def q_kie_rowcol(sf_dir: str):
     """End-to-end KIE / table-structure pipeline: deterministic per-doc
-    form derivation -> sort_vertex8 box ingest -> actor-pool tokenize-
-    classify + geometry grouping stage -> cal_row_col_f1 scoring
+    form derivation -> sort_vertex8 box ingest -> tokenize-classify +
+    geometry grouping stage -> cal_row_col_f1 scoring
     (reference kie_dataset.py:73-170 / SDMGR flow; fork cal_row_col_f1)."""
     from .kie import kie_rowcol
 
@@ -2359,12 +2350,7 @@ def q_pdf_layout(sf_dir: str):
     return (
         _read(sf_dir, "documents", ["doc_id", "text"])
         .map_batches(render, batch_format="pyarrow")
-        .map_batches(
-            PdfLayoutStage,
-            batch_format="pyarrow",
-            concurrency=(1, _decode_pool()),
-            batch_size=64,
-        )
+        .map_batches(PdfLayoutStage(), batch_format="pyarrow", batch_size=64)
         .map_batches(widen, batch_format="pyarrow")
     )
 
@@ -2373,7 +2359,7 @@ def q_audio_features(sf_dir: str):
     """Audio features over a REAL codec (rows-only: no SQL WAV parser;
     exact values pinned in tests): synthesize a deterministic mono 16-bit
     PCM WAV clip per document (stdlib ``wave`` writer, length scaled by
-    n_chars) and run the actor-pool feature stage with the stdlib
+    n_chars) and run the feature stage as tasks with the stdlib
     RIFF/WAVE decoder (``sources/av.py: WavPcmDecoder``)."""
     from ..sources.av import AudioFeatureStage, WavPcmDecoder, synth_wav
 
@@ -2394,10 +2380,8 @@ def q_audio_features(sf_dir: str):
         _read(sf_dir, "documents", ["doc_id", "n_chars"])
         .map_batches(render, batch_format="pyarrow")
         .map_batches(
-            AudioFeatureStage,
+            AudioFeatureStage(decoder=WavPcmDecoder()),
             batch_format="pyarrow",
-            fn_constructor_kwargs={"decoder": WavPcmDecoder()},
-            concurrency=(1, _decode_pool()),
             batch_size=64,
         )
     )
@@ -2407,8 +2391,8 @@ def q_video_frames(sf_dir: str):
     """Frame sampling over a REAL frame codec (rows-only: no SQL PNG
     parser; geometry and luma pinned in tests): synthesize a deterministic
     PNG-sequence clip per document (1 + doc_id % 4 frames via the repo's
-    pure-numpy PNG encoder) and stride-sample frames in the actor-pool
-    stage (``sources/av.py: PngSequenceDecoder``)."""
+    pure-numpy PNG encoder) and stride-sample frames in the sampling
+    stage, run as tasks (``sources/av.py: PngSequenceDecoder``)."""
     from ..sources.av import PngSequenceDecoder, VideoFrameSampleStage, synth_video
 
     def render(batch: pa.Table) -> pa.Table:
@@ -2427,19 +2411,19 @@ def q_video_frames(sf_dir: str):
         _read(sf_dir, "documents", ["doc_id"])
         .map_batches(render, batch_format="pyarrow")
         .map_batches(
-            VideoFrameSampleStage,
+            VideoFrameSampleStage(decoder=PngSequenceDecoder(), stride=2),
             batch_format="pyarrow",
-            fn_constructor_kwargs={"decoder": PngSequenceDecoder(), "stride": 2},
-            concurrency=(1, _decode_pool()),
             batch_size=64,
         )
     )
 
 
 class DecodeVariantsStage:
-    """Actor-pool stage driving every recognizer decode kernel over rendered
-    media pixels: per detected word crop, the SAME glyph template matches
-    (``functions/ocr.py: word_glyph_classes``) feed four decoders —
+    """Task stage driving every recognizer decode kernel over rendered
+    media pixels (a callable instance; it holds only the beam width, so
+    Ray Data runs it as tasks): per detected word crop, the SAME glyph
+    template matches (``functions/ocr.py: word_glyph_classes``) feed four
+    decoders —
 
     - CTC greedy over frame logits (``ctc.py: ctc_greedy_decode``),
     - CTC prefix beam search, width 5 (``ctc.py: ctc_beam_search``,
@@ -2583,16 +2567,13 @@ def q_decode_variants(sf_dir: str, n_docs: int | None = None):
             }
         )
 
-    docs = _read(sf_dir, "documents", ["doc_id", "text"])
+    # the render and the four decoders are Python kernels: ~one block per
+    # core, or a one-block read runs them all as one serial task
+    docs = _read(sf_dir, "documents", ["doc_id", "text"], min_blocks=32)
     if n_docs is not None:
         docs = docs.limit(n_docs)
     return docs.map_batches(render, batch_format="pyarrow").map_batches(
-        DecodeVariantsStage,
-        batch_format="pyarrow",
-        # post-optimization the kernel is ~6 ms/row (~6 core-sec total at
-        # bench scale) — a wide pool would be pure startup cost
-        concurrency=(1, _decode_pool(cap=8)),
-        batch_size=32,
+        DecodeVariantsStage(), batch_format="pyarrow", batch_size=32
     )
 
 

@@ -144,15 +144,17 @@ def exchange_partitions(rows: int | None) -> int:
     return hash_partitions(rows, cpus, max(2, min(8, cpus)))
 
 
-def actor_pool(reserve: float, cap: int | None = None, floor: int = 1) -> int:
+def actor_pool(reserve: float, cap: int | None = None) -> int:
     """Actor-pool size: the cluster's CPUs minus ``reserve`` (read/write
     tasks, exchange aggregators, upstream render tasks), at most ``cap``
-    (the work available) and at least ``floor``. A pool that takes every
-    core starves the tasks around it and stalls the streaming executor."""
+    (the work available) and at least one. A pool that takes every core
+    starves the tasks around it and stalls the streaming executor. Only a
+    stage whose ``__init__`` builds real per-process state runs as an actor
+    pool; every other stage is a callable instance run as tasks."""
     n = int(cluster_cpus() - reserve)
     if cap is not None:
         n = min(cap, n)
-    return max(floor, n)
+    return max(1, n)
 
 
 def plan_context(ds):

@@ -3,7 +3,7 @@ the formats this container can honestly parse, and ``NotImplementedError``
 seams for the rest.
 
 The engine treats audio/video like images: opaque ``large_binary`` columns
-with typed metadata, processed by actor-pool ``map_batches`` stages.
+with typed metadata, processed by ``map_batches`` stages run as tasks.
 
 Real codecs (pure stdlib / repo-owned):
 - audio: RIFF/WAVE PCM via the stdlib ``wave`` module
@@ -136,11 +136,11 @@ def synth_wav(clip_id: int, n_chars: int, rate: int = 16000) -> bytes:
 
 
 class AudioFeatureStage:
-    """Actor-pool stage: (clip_id, bytes) -> per-clip audio features.
+    """Task stage: (clip_id, bytes) -> per-clip audio features.
 
-    ``map_batches(AudioFeatureStage, fn_constructor_kwargs={...},
-    concurrency=N, batch_size=B)`` — decoder loads once per actor; features
-    are vectorized numpy per clip.
+    ``map_batches(AudioFeatureStage(decoder), batch_size=B)``: the instance
+    holds only its decoder, which builds no per-process state, so Ray Data
+    runs it as tasks; features are vectorized numpy per clip.
     """
 
     def __init__(self, decoder: AudioDecoder | None = None):
@@ -245,8 +245,9 @@ class FakeRawVideoDecoder(VideoDecoder):
 
 
 class VideoFrameSampleStage:
-    """Actor-pool stage: sample every ``stride``-th frame, emit per-frame
-    metadata rows (1:N flat-map, like the OCR crop fan-out)."""
+    """Task stage: sample every ``stride``-th frame, emit per-frame
+    metadata rows (1:N flat-map, like the OCR crop fan-out). Run as a
+    callable instance, ``map_batches(VideoFrameSampleStage(decoder))``."""
 
     def __init__(self, decoder: VideoDecoder | None = None, stride: int = 2):
         self.decoder = decoder or VideoDecoder()

@@ -1,5 +1,5 @@
 """PDF layout-parsing source — real pure-stdlib decoder for a minimal
-PDF 1.4 profile, plus the Ray-side actor-pool stage.
+PDF 1.4 profile, plus the Ray-side task stage.
 
 The target scope includes PDF layout parsing. This container has no PDF
 library, so the decoder is a from-scratch stdlib parser (``zlib`` for
@@ -648,10 +648,11 @@ def pdf_pages_text(pages: list[list[dict]]) -> str:
 
 
 class PdfLayoutStage:
-    """Actor-pool stage: (doc_id, bytes) -> ordered layout-block rows.
+    """Task stage: (doc_id, bytes) -> ordered layout-block rows.
 
-    Use with ``map_batches(PdfLayoutStage, fn_constructor_kwargs=...,
-    concurrency=N, batch_size=B)`` — decoder state loads once per actor.
+    Use with ``map_batches(PdfLayoutStage(decoder), batch_size=B)``: the
+    instance holds only its decoder, which builds no per-process state, so
+    Ray Data runs it as tasks.
     """
 
     def __init__(self, decoder: PdfDecoder | None = None):

@@ -109,8 +109,7 @@ def test_kie_rowcol_dataset_runs(ray_session):
             ),
         }
     )
-    out = kie_rowcol(ray.data.from_arrow(t).repartition(2),
-                     concurrency=1).take_all()
+    out = kie_rowcol(ray.data.from_arrow(t).repartition(2)).take_all()
     assert len(out) == 5
     assert all(0.0 <= r["rowcol_f1"] <= 1.0 for r in out)
 

@@ -41,7 +41,19 @@ def test_estimate_parquet_bytes(tmp_path, corpus):
     # directory form resolves *.parquet
     assert estimate_parquet_bytes(str(tmp_path)) == est
     assert estimate_parquet_bytes([str(p), str(p)]) == 2 * est
-    assert estimate_parquet_bytes("/nonexistent/x.parquet") is None
+    with pytest.raises(FileNotFoundError, match="nonexistent"):
+        estimate_parquet_bytes("/nonexistent/x.parquet")
+
+
+def test_resolve_media_raises_on_a_path_without_parquet(ray_session, tmp_path):
+    """An empty media directory used to estimate 0 bytes, pick broadcast
+    and fail inside the first document task; a missing file picked the
+    join silently. Both raise where resolve_media is called."""
+    empty = tmp_path / "media"
+    empty.mkdir()
+    for path in (str(empty), str(tmp_path / "missing.parquet"), []):
+        with pytest.raises(FileNotFoundError):
+            resolve_media(path)
 
 
 def _expected_map(expected):

@@ -148,3 +148,26 @@ def test_pull_column_numpy_passes_float_nulls_as_nan(ray_session):
     got = pull_column_numpy(ds, "x")
     assert got.dtype == np.float64
     assert got[0] == 1.5 and np.isnan(got[1]) and got[2] == 2.0
+
+
+def test_package_sources_compile_without_warnings():
+    """Every package source compiles with ``DeprecationWarning`` and
+    ``SyntaxWarning`` as errors: an invalid escape such as ``\\s`` in a
+    non-raw docstring warns on every import (a SyntaxWarning from Python
+    3.12 on)."""
+    import warnings
+    from pathlib import Path
+
+    import my_ocr_ray
+
+    root = Path(my_ocr_ray.__file__).parent
+    bad = []
+    for path in sorted(root.rglob("*.py")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            warnings.simplefilter("error", SyntaxWarning)
+            try:
+                compile(path.read_text(), str(path), "exec")
+            except (SyntaxError, DeprecationWarning, SyntaxWarning) as e:
+                bad.append(f"{path.relative_to(root)}: {e}")
+    assert bad == []

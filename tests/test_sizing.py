@@ -1,18 +1,19 @@
 """``my_ocr_ray.sizing`` is the one home of the cluster-sizing policy.
 
 The table tests drive the real call sites (``extract()``, ``_hash_parts``,
-the battery joins that used to plan a fixed 8 partitions, ``kie_rowcol``,
-the decode and ANN pools) on a recording stand-in dataset at a faked CPU
-count, and compare every pool size and partition count with the formulas
-each site used before the policy moved into ``sizing.py``. Those formulas
+the battery joins that used to plan a fixed 8 partitions, the kNN pool) on
+a recording stand-in dataset at a faked CPU count, and compare every pool
+size and partition count with the formulas each site used before the
+policy moved into ``sizing.py``. Those formulas
 are copied here verbatim as the reference. The aggregator rule is pinned
 by its own cases and by a table over the battery's exchanges and joins
 (aggregators follow rows, a join claims what a shuffle does, also without
 a row estimate); source and signature guards keep the policy in one place
 (no battery operator takes a sizing argument, ``configure_hash_shuffle``
-always takes a row estimate), and two live tests run the join plan on a
-real Ray session: one aggregator process per exchange, and the caller's
-DataContext left as it was.
+always takes a row estimate), two live tests run the join plan on a
+real Ray session (one aggregator process per exchange, and the caller's
+DataContext left as it was), and one runs the stateless battery stages
+live: none starts an actor pool.
 """
 import re
 import types
@@ -49,17 +50,6 @@ def ref_extract_partitions(n_docs, cpus):  # extract(), inline
 
 def ref_ann_pool(requested, cpus):  # ann._pool_size
     return max(1, min(requested, cpus - 1))
-
-
-def ref_kie_pool(rows, cpus):  # kie_rowcol, inline
-    concurrency = max(1, cpus - 2)
-    if rows is not None:
-        concurrency = max(1, min(concurrency, -(-int(rows) // 500)))
-    return concurrency
-
-
-def ref_decode_pool(cpus, reserve=4, cap=24):  # queries._decode_pool
-    return max(2, min(cap, cpus - reserve, cpus - 1))
 
 
 # --- a dataset stand-in that records what the plan asked for --------------
@@ -413,17 +403,8 @@ def test_battery_aggregators_follow_rows(cpus, fake_cpus):
 
 @pytest.mark.parametrize("cpus", CPUS)
 def test_actor_pools_match_parent(cpus, fake_cpus):
-    from my_ocr_ray.pipelines.kie import kie_rowcol
-    from my_ocr_ray.pipelines.queries import _decode_pool
-
     fake_cpus(cpus)
-    for rows in ROWS:
-        ds = _recording(rows)
-        kie_rowcol(ds)
-        assert ds.values("pool") == {ref_kie_pool(rows, cpus)}
-    assert _decode_pool() == ref_decode_pool(cpus)
-    assert _decode_pool(cap=8) == ref_decode_pool(cpus, cap=8)
-    for requested in (1, 2, 4, 8, 64):  # ann pools: cap 4
+    for requested in (1, 2, 4, 8, 64):  # the knn_graph pool: cap 4
         assert sizing.actor_pool(1, cap=requested) == ref_ann_pool(requested, cpus)
 
 
@@ -462,7 +443,7 @@ def test_battery_budget_only_in_sizing():
 
 
 _BATTERY_MODULES = ("dedup", "windows", "corpus", "relational", "ann",
-                    "pipelines.evaluate")
+                    "pipelines.evaluate", "pipelines.kie")
 _SIZING_PARAMS = {"num_partitions", "join_num_partitions", "agg_blocks",
                   "aggregator_cpu_budget", "concurrency"}
 
@@ -584,3 +565,69 @@ def test_join_plan_starts_one_aggregator_per_exchange(ray_session):
     assert new.count("HashShuffleAggregator") == len(exchanges), new
     got = {r["doc_id"]: [dict(s) for s in r["spans"]] for r in out.take_all()}
     assert got == {r["doc_id"]: r["spans"] for r in expected.to_pylist()}
+
+
+# --- live guard: a stage with no per-process state runs as tasks ----------
+
+@pytest.fixture(scope="module")
+def tiny_sf_dir(tmp_path_factory):
+    """A scale-factor directory holding only a 24-row ``documents`` table,
+    the one table the decode queries read."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    texts = [f"Invoice {i} table row total {7 * i} paid" for i in range(24)]
+    root = tmp_path_factory.mktemp("sf")
+    pq.write_table(
+        pa.table({
+            "doc_id": pa.array(range(24), pa.int64()),
+            "text": texts,
+            "n_chars": pa.array([len(t) for t in texts], pa.int64()),
+        }),
+        root / "documents.parquet",
+    )
+    return str(root)
+
+
+def _stateless_stage_plan(name, sf_dir, ray_session):
+    import numpy as np
+    import pyarrow as pa
+    import ray.data
+
+    from my_ocr_ray import ann
+    from my_ocr_ray.pipelines import queries
+    from my_ocr_ray.pipelines.kie import kie_rowcol
+
+    if name == "kie_rowcol":
+        return kie_rowcol(ray.data.read_parquet(
+            f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]))
+    if name not in ("brute_force_topk", "ivf_topk"):
+        return getattr(queries, f"q_{name}")(sf_dir)
+    vecs = np.random.default_rng(3).normal(size=(64, 8))
+    emb = ray.data.from_arrow(pa.table({
+        "vec_id": pa.array(range(64), pa.int64()),
+        "embedding": pa.array([list(v) for v in vecs], pa.list_(pa.float64())),
+    }))
+    qref = ray_session.put({"qids": np.arange(4, dtype=np.int64), "vectors": vecs[:4]})
+    if name == "brute_force_topk":
+        return ann.brute_force_topk(emb, qref, k=3)
+    return ann.ivf_topk(emb, qref, centroids=vecs[:4], k=3, nprobe=2)
+
+
+@pytest.mark.parametrize("name", [
+    "kie_rowcol", "brute_force_topk", "ivf_topk", "pdf_layout",
+    "audio_features", "video_frames", "decode_variants",
+])
+def test_stateless_battery_stages_start_no_actor(ray_session, tiny_sf_dir, name):
+    """A battery stage with no per-process state is a callable instance
+    Ray Data runs as tasks: materializing it starts no ``MapWorker`` (Ray
+    Data's actor-pool worker), neither one still alive nor one already
+    stopped."""
+    from ray._private import state
+
+    before = set(state.actors())
+    out = _stateless_stage_plan(name, tiny_sf_dir, ray_session).materialize()
+    new = [a["ActorClassName"] for aid, a in state.actors().items()
+           if aid not in before]
+    assert out.count() > 0
+    assert not [c for c in new if c.startswith("MapWorker")], new

@@ -101,10 +101,7 @@ def test_pdf_layout_stage_with_fake_decoder(ray_session):
         [{"doc_id": "d1", "bytes": json.dumps(pages).encode()}]
     )
     out = ds.map_batches(
-        PdfLayoutStage,
-        batch_format="pyarrow",
-        fn_constructor_kwargs={"decoder": FakePdfDecoder()},
-        concurrency=1,
+        PdfLayoutStage(decoder=FakePdfDecoder()), batch_format="pyarrow"
     ).take_all()
     assert [r["text"] for r in out] == ["left top", "left bottom", "right col"]
     assert [r["order"] for r in out] == [0, 1, 2]
@@ -150,8 +147,7 @@ def test_audio_video_stub_stages(ray_session):
     pcm = np.sin(np.linspace(0, 40 * np.pi, 16000)).astype(np.float32)
     ds = ray.data.from_items([{"clip_id": "c1", "bytes": pcm.tobytes()}])
     out = ds.map_batches(
-        AudioFeatureStage, batch_format="pyarrow",
-        fn_constructor_kwargs={"decoder": FakePcmDecoder()}, concurrency=1,
+        AudioFeatureStage(decoder=FakePcmDecoder()), batch_format="pyarrow"
     ).take_all()
     assert out[0]["n_samples"] == 16000 and out[0]["duration_sec"] == 1.0
     assert 0.5 < out[0]["rms"] < 0.9
@@ -161,9 +157,8 @@ def test_audio_video_stub_stages(ray_session):
     video = b"6,4,4|" + frames.tobytes()
     ds = ray.data.from_items([{"clip_id": "v1", "bytes": video}])
     out = ds.map_batches(
-        VideoFrameSampleStage, batch_format="pyarrow",
-        fn_constructor_kwargs={"decoder": FakeRawVideoDecoder(), "stride": 2},
-        concurrency=1,
+        VideoFrameSampleStage(decoder=FakeRawVideoDecoder(), stride=2),
+        batch_format="pyarrow",
     ).take_all()
     assert [r["frame_idx"] for r in out] == [0, 2]
     assert [r["mean_luma"] for r in out] == [10.0, 30.0]
