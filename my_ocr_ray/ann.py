@@ -14,7 +14,6 @@ import numpy as np
 import pyarrow as pa
 
 from .functions.num import round_away, round_away_scalar
-from .sizing import actor_pool
 
 
 def _unit(m: np.ndarray) -> np.ndarray:
@@ -136,46 +135,73 @@ def brute_force_topk(emb_ds, queries_ref, k: int = 5):
     )
 
 
-class _KnnSelfJoin:
-    """Actor stage for the kNN self-join: assemble the build side ONCE per
-    actor from object-store block refs (zero-copy Arrow on the same node),
-    then every streamed batch joins against it in one matmul."""
+_KNN_SCHEMA = pa.schema(
+    [
+        ("vec_id", pa.int64()),
+        ("rank", pa.int64()),
+        ("nbr_id", pa.int64()),
+        ("sim", pa.float64()),
+    ]
+)
 
-    def __init__(self, build_refs, k: int):
-        import ray
 
-        tables = [t for t in ray.get(list(build_refs)) if t.num_rows]
+def _knn_build(emb_ds):
+    """-> ObjectRef of the kNN build side {"ids", "mat"}: every vector's id
+    in ascending order and its unit row in the same order, assembled ONCE
+    by a Ray task from the dataset's object-store block refs (``to_arrow_refs``,
+    resolved zero-copy in the task; the driver holds refs, never rows)."""
+    import ray
+
+    @ray.remote
+    def _build(*tables):
+        tables = [t for t in tables if t.num_rows]
         ids = np.concatenate(
             [t["vec_id"].to_numpy(zero_copy_only=False) for t in tables]
         )
         mat = _unit(np.vstack([_batch_vectors(t) for t in tables]))
-        # sort build side by id so a STABLE argsort on -sim breaks ties by
-        # ascending neighbor id via column position alone (no per-row lexsort)
+        # sort by id so a STABLE argsort on -sim breaks ties by ascending
+        # neighbor id via column position alone (no per-row lexsort)
         order = np.argsort(ids, kind="stable")
-        self.ids = ids[order]
-        self.mat = mat[order]
+        return {"ids": ids[order], "mat": mat[order]}
+
+    return _build.remote(*emb_ds.to_arrow_refs())
+
+
+class _KnnSelfJoin:
+    """map_batches task stage of the kNN self-join. The instance holds the
+    build side's ref (:func:`_knn_build`), never the matrix: each call
+    resolves it zero-copy out of the object store and joins its batch
+    against it in one matmul, so Ray Data runs the stage as tasks."""
+
+    def __init__(self, build_ref, k: int):
+        self.build_ref = build_ref
         self.k = k
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        import ray
+
+        build = ray.get(self.build_ref)
+        ids, mat = build["ids"], build["mat"]
         vecs = _unit(_batch_vectors(batch))
         qids = batch["vec_id"].to_numpy(zero_copy_only=False)
-        sims = vecs @ self.mat.T  # (B, N)
+        sims = vecs @ mat.T  # (B, N)
         b, n = sims.shape
         # exclude self-matches by id: build side is id-sorted, so the
         # column of each query id is found by one searchsorted
-        pos = np.searchsorted(self.ids, qids)
-        ok = (pos < n) & (self.ids[np.minimum(pos, n - 1)] == qids)
+        pos = np.searchsorted(ids, qids)
+        ok = (pos < n) & (ids[np.minimum(pos, n - 1)] == qids)
         sims[np.flatnonzero(ok), pos[ok]] = -np.inf
         k = min(self.k, n - 1)
         top = np.argsort(-sims, axis=1, kind="stable")[:, :k]  # (B, k)
         top_sims = np.take_along_axis(sims, top, axis=1)
         return pa.Table.from_pydict(
             {
-                "vec_id": pa.array(np.repeat(qids, k), pa.int64()),
-                "rank": pa.array(np.tile(np.arange(1, k + 1), b), pa.int64()),
-                "nbr_id": pa.array(self.ids[top].ravel(), pa.int64()),
-                "sim": pa.array(round_away(top_sims.ravel(), 6), pa.float64()),
-            }
+                "vec_id": np.repeat(qids, k),
+                "rank": np.tile(np.arange(1, k + 1), b),
+                "nbr_id": ids[top].ravel(),
+                "sim": round_away(top_sims.ravel(), 6),
+            },
+            schema=_KNN_SCHEMA,
         )
 
 
@@ -183,26 +209,26 @@ def knn_graph(emb_ds, k: int = 3):
     """Exact cosine kNN self-join -> (vec_id, rank, nbr_id, sim): each
     vector's ``k`` nearest OTHER vectors, ties broken by neighbor id.
 
-    The build side is the same dataset shared as object-store block refs
-    (``to_arrow_refs`` — the driver holds refs, never rows); each actor
-    materializes (ids, unit matrix) once in ``__init__``. ZERO exchange:
-    every output row leaves its task already final, so shuffle volume is 0
-    and compute is the unavoidable O(n^2) matmul spread across the pool
-    (``actor_pool(1, cap=4)``). The top-k searches have no such state and
-    run as tasks; this stage stays an actor because its build matrix is
-    real per-process state.
+    The input is materialized once; one Ray task builds the id-sorted unit
+    matrix from its block refs (:func:`_knn_build`), and every block of it
+    joins that matrix in a :class:`_KnnSelfJoin` task that resolves the
+    matrix's ref per call. ZERO exchange: every output row leaves its task
+    already final, so shuffle volume is 0 and compute is the unavoidable
+    O(n^2) matmul spread across the tasks. An empty input gives an empty
+    table of the output schema.
 
     100-TB path: an all-pairs build side cannot be broadcast at corpus
     scale — swap the build state for IVF cells (``train_ivf_centroids`` +
     a cell-keyed exchange, probing adjacent cells; same output schema,
     approximate recall). This exact kernel remains the per-cell inner loop.
     """
-    refs = emb_ds.to_arrow_refs()
-    return emb_ds.map_batches(
-        _KnnSelfJoin,
-        batch_format="pyarrow",
-        fn_constructor_args=(refs, k),
-        concurrency=actor_pool(1, cap=4),
+    import ray.data
+
+    emb = emb_ds.materialize()
+    if emb.count() == 0:
+        return ray.data.from_arrow(_KNN_SCHEMA.empty_table())
+    return emb.map_batches(
+        _KnnSelfJoin(_knn_build(emb), k), batch_format="pyarrow"
     )
 
 
@@ -412,8 +438,8 @@ def knn_graph_ivf(
     )
 
 
-# Exact kNN holds the full (ids, unit-matrix) build side in every actor:
-# at float64 x 64 dims that is ~0.5 KB/row, so 200k rows ~ 100 MB/actor —
+# Exact kNN resolves the full (ids, unit-matrix) build side in every task:
+# at float64 x 64 dims that is ~0.5 KB/row, so 200k rows ~ 100 MB —
 # comfortably inside a worker heap; past it the broadcast is the wrong
 # default and the cell-exchanged IVF path takes over (same output schema,
 # recall < 1, pinned in tests). Same shape as extract()'s media
@@ -421,31 +447,29 @@ def knn_graph_ivf(
 KNN_EXACT_MAX_ROWS = 200_000
 
 
-def choose_knn_strategy(n_rows: int, max_exact_rows: int = KNN_EXACT_MAX_ROWS) -> str:
-    """'exact' while the whole build side fits one actor's heap, else 'ivf'."""
-    return "exact" if n_rows <= max_exact_rows else "ivf"
+def choose_knn_strategy(rows: int) -> str:
+    """'exact' while a build side of ``rows`` vectors fits one worker's
+    heap (:data:`KNN_EXACT_MAX_ROWS`, read at call time), else 'ivf'."""
+    return "exact" if rows <= KNN_EXACT_MAX_ROWS else "ivf"
 
 
 def knn_graph_auto(
     emb_ds,
     k: int = 3,
-    max_exact_rows: int = KNN_EXACT_MAX_ROWS,
-    n_rows: int | None = None,
     nprobe: int = 2,
     n_centroids: int | None = None,
 ):
     """kNN self-join with data-selected strategy — the default entry point.
 
-    Counts rows (parquet-metadata cheap on an untransformed read; pass
-    ``n_rows`` when the caller already knows it) and routes: small corpora
-    take the zero-exchange exact kernel (:func:`knn_graph`), large ones the
-    IVF cell exchange (:func:`knn_graph_ivf`) with ``~sqrt(n)`` centroids
-    trained by the streaming k-means pass. Output schema is identical on
-    both routes; the IVF route is approximate by construction.
+    Counts rows (parquet-metadata cheap on an untransformed read) and
+    routes (:func:`choose_knn_strategy`): small corpora take the
+    zero-exchange exact kernel (:func:`knn_graph`), large ones the IVF cell
+    exchange (:func:`knn_graph_ivf`) with ``~sqrt(n)`` centroids trained by
+    the streaming k-means pass. Output schema is identical on both routes;
+    the IVF route is approximate by construction.
     """
-    if n_rows is None:
-        n_rows = emb_ds.count()
-    if choose_knn_strategy(n_rows, max_exact_rows) == "exact":
+    n_rows = emb_ds.count()
+    if choose_knn_strategy(n_rows) == "exact":
         return knn_graph(emb_ds, k=k)
     if n_centroids is None:
         n_centroids = max(16, int(np.sqrt(n_rows)))

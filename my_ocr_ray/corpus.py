@@ -23,7 +23,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .functions.tables import agg_named
+from .functions.tables import agg_named, distinct_values
 
 
 # ---------------------------------------------------------------------------
@@ -158,8 +158,8 @@ def eval_ngram_set(docs_ds, eval_mod: int, n: int):
             grams = grams.unique()
         return pa.Table.from_pydict({"ngram": grams})
 
-    grams = docs_ds.map_batches(eval_grams, batch_format="pyarrow").unique("ngram")
-    return frozenset(grams)
+    grams = docs_ds.map_batches(eval_grams, batch_format="pyarrow")
+    return frozenset(distinct_values(grams, "ngram"))
 
 
 def decontaminate(docs_ds, eval_mod: int = 97, n: int = 5):
@@ -605,7 +605,7 @@ def shared_gram_fraction(docs_ds, n: int = 3, min_df: int = 2):
         .repartition(1)
         .map_batches(combine_filter, batch_format="pyarrow", batch_size=None)
     )
-    shared = frozenset(df_ds.unique("ngram"))
+    shared = frozenset(distinct_values(df_ds, "ngram"))
     shared_ref = ray.put(shared)
 
     def score(batch: pa.Table, shared_ref=shared_ref) -> pa.Table:

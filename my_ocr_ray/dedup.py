@@ -22,13 +22,13 @@ import pyarrow.compute as pc
 
 from .analysis import fingerprint_batch
 from .functions.num import round_away
-from .functions.tables import agg_named
+from .functions.tables import agg_named, distinct_values
 from .functions.textproc import (
     lsh_band_matrix,
     minhash_sigs_matrix,
     simhash64_batch,
 )
-from .sizing import approx_rows, hash_exchange
+from .sizing import approx_rows, fits_one_partition, hash_exchange
 
 
 # Conservative per-document row-expansion estimates used ONLY for exchange
@@ -825,8 +825,7 @@ def _cc_single_block(batch: pa.Table) -> pa.Table:
     )
 
 
-def connected_components(pairs_ds, max_iters: int = 50,
-                         small_graph_rows: int = 2_000_000):
+def connected_components(pairs_ds, max_iters: int = 50):
     """(doc_id, cluster_id) per node of the candidate-pair graph, where
     cluster_id = min doc_id reachable — the canonical-representative
     labelling a dedup pipeline keeps one document per cluster with.
@@ -883,13 +882,13 @@ def connected_components(pairs_ds, max_iters: int = 50,
 
     # Small-graph fast path: the candidate-pair graph is DEDUP-CANDIDATE
     # sized, usually tiny relative to the corpus. When the (already
-    # materialized) edge rows fit one task comfortably, a single
-    # vectorized min-propagation kernel with pointer jumping replaces the
-    # per-round join+groupby+materialize cycle (measured: each distributed
-    # round costs ~1.5s of exchange setup at bench scale). The iterative
+    # materialized) edge rows fit one partition, a single vectorized
+    # min-propagation kernel with pointer jumping replaces the per-round
+    # join+groupby+materialize cycle (measured: each distributed round
+    # costs ~1.5s of exchange setup at bench scale). The iterative
     # distributed path below remains the shape for web-scale graphs.
     n_edges = edges.count()
-    if n_edges <= small_graph_rows:
+    if fits_one_partition(n_edges):
         return edges.repartition(1).map_batches(
             _cc_single_block, batch_format="pyarrow", batch_size=None
         )
@@ -1242,56 +1241,81 @@ def source_overlap(docs_ds, prefix_tokens: int = 5):
     return agg.map_batches(rename, batch_format="pyarrow")
 
 
-def incremental_dedup(new_docs_ds, known_docs_ds, path: str | None = None,
-                      broadcast_threshold: int = 2_000_000):
+_FRESH_SCHEMA = pa.schema([("doc_id", pa.int64()), ("fp", pa.string())])
+
+
+def _fresh_block(block: pa.Table) -> pa.Table:
+    """One fp partition of (doc_id, fp, known) rows -> (doc_id, fp) for
+    each fp that no snapshot (``known``) row carries, with its min new
+    doc_id: :func:`incremental_dedup`'s join route."""
+    if block.num_rows == 0 or "fp" not in block.column_names:
+        return _FRESH_SCHEMA.empty_table()
+    denc = block["fp"].combine_chunks().dictionary_encode()
+    codes = np.asarray(denc.indices, dtype=np.int64)
+    known = block["known"].to_numpy(zero_copy_only=False)
+    doc = block["doc_id"].to_numpy(zero_copy_only=False)
+    seen = np.zeros(len(denc.dictionary), bool)
+    seen[codes[known]] = True
+    first = np.full(len(denc.dictionary), np.iinfo(np.int64).max, np.int64)
+    np.minimum.at(first, codes[~known], doc[~known])
+    keep = ~seen & (first < np.iinfo(np.int64).max)
+    return pa.Table.from_pydict(
+        {"doc_id": first[keep], "fp": denc.dictionary.filter(pa.array(keep))},
+        schema=_FRESH_SCHEMA,
+    )
+
+
+def incremental_dedup(new_docs_ds, known_docs_ds):
     """Dedup a NEW document batch against a prior corpus snapshot ->
     (doc_id, fp): the continuously-updated-corpus shape, where each
     ingest run must drop documents already present in earlier runs as
     well as duplicates within itself.
 
-    Two value-identical membership paths, picked by snapshot size:
+    Two value-identical membership routes, picked by the snapshot's row
+    estimate (:func:`~my_ocr_ray.sizing.fits_one_partition`):
 
-    - ``broadcast`` (snapshot <= ``broadcast_threshold`` rows): the
-      snapshot reduces to its distinct fingerprints (distributed
-      ``unique``), broadcast once; new docs filter with one vectorized
-      searchsorted per batch — zero exchange on the new stream.
-    - ``join`` (larger snapshots, the 100-TB path): a fp-hash
-      co-partitioned ``left_anti`` join — only skinny (doc_id, fp) rows
-      exchange, the snapshot never lands on the driver.
+    - broadcast (a snapshot known to fit one partition): the snapshot
+      reduces to its distinct fingerprints (distributed ``unique``),
+      broadcast once; new docs filter with one vectorized searchsorted
+      per batch — zero exchange on the new stream.
+    - join (larger or unknown snapshots, the 100-TB path): both sides'
+      skinny (doc_id, fp, known) rows co-partition by fp hash in ONE
+      exchange, and each partition keeps, per fp no snapshot row carries,
+      its min new doc_id — the snapshot never lands on the driver, and an
+      empty side is just a side with no rows.
 
-    ``path`` forces one explicitly; tests pin the two paths equal."""
+    Tests pin the two routes equal."""
     from ray.data.aggregate import Min
 
-    from .analysis import fingerprint_batch
     from .relational import broadcast_semi_anti_join
+    from .windows import _hash_parts
 
-    known_fps = known_docs_ds.map_batches(
-        fingerprint_batch, batch_format="pyarrow"
+    known_rows = approx_rows(known_docs_ds)
+    if not fits_one_partition(known_rows):
+
+        def tagged(ds, known: bool):
+            return ds.map_batches(
+                lambda b: fingerprint_batch(b).append_column(
+                    "known", pa.array(np.full(b.num_rows, known))
+                ),
+                batch_format="pyarrow",
+            )
+
+        sides = [approx_rows(new_docs_ds), known_rows]
+        both = tagged(new_docs_ds, False).union(tagged(known_docs_ds, True))
+        return _hash_parts(
+            both, ["fp"], None if None in sides else sum(sides)
+        ).map_batches(_fresh_block, batch_format="pyarrow", batch_size=None)
+
+    fresh = broadcast_semi_anti_join(
+        new_docs_ds.map_batches(fingerprint_batch, batch_format="pyarrow"),
+        key="fp",
+        build_keys_ds=known_docs_ds.map_batches(
+            fingerprint_batch, batch_format="pyarrow"
+        ),
+        build_key="fp",
+        anti=True,
     )
-    new_fps = new_docs_ds.map_batches(fingerprint_batch, batch_format="pyarrow")
-    if path is None:
-        est = approx_rows(known_docs_ds)
-        path = (
-            "join"
-            if est is not None and est > broadcast_threshold
-            else "broadcast"
-        )
-    if path == "broadcast":
-        fresh = broadcast_semi_anti_join(
-            new_fps, key="fp", build_keys_ds=known_fps, build_key="fp",
-            anti=True,
-        )
-    else:
-        # the groupby below inherits the join's hash-shuffle context
-        new_fps, num_partitions = hash_exchange(
-            new_fps, approx_rows(known_docs_ds)
-        )
-        fresh = new_fps.join(
-            known_fps.select_columns(["fp"]),
-            join_type="left_anti",
-            num_partitions=num_partitions,
-            on=("fp",),
-        )
     agg = fresh.groupby("fp").aggregate(Min("doc_id"))
 
     def rename(batch: pa.Table) -> pa.Table:
@@ -1353,8 +1377,7 @@ def dedup_rate_by_source(docs_ds):
     return agg.map_batches(finalize, batch_format="pyarrow")
 
 
-def drop_dup_passages(docs_ds, chunk: int = 20, path: str | None = None,
-                      broadcast_threshold: int = 2_000_000):
+def drop_dup_passages(docs_ds, chunk: int = 20):
     """Corpus-wide repeated-passage REMOVAL -> (doc_id, n_kept, n_dropped,
     text): rewrite each document keeping only passages whose first corpus
     occurrence it owns (lexicographic-min (doc_id, ci) owner, identical to
@@ -1362,20 +1385,10 @@ def drop_dup_passages(docs_ds, chunk: int = 20, path: str | None = None,
     passage_dedup report, i.e. the CCNet/C4 repeated-paragraph scrub.
 
     Pass A ships only skinny (doc_id, ci, h) rows through one h-keyed
-    exchange and emits the DROP list (duplicate passages only, dedup-
-    candidate sized), MATERIALIZED so its exact size picks the path:
-
-    - ``broadcast`` (drop list <= ``broadcast_threshold`` keys): drop keys
-      broadcast once as a sorted array; the rebuild is a second pure map —
-      document text never enters an exchange.
-    - ``join`` (heavier duplicate mass, the 100-TB path): passages
-      left-outer join the drop keys (key-hash co-partitioned), then one
-      doc_id-keyed exchange rebuilds per block — text moves through two
-      exchanges but nothing ever lands on the driver.
-
-    ``path`` forces one explicitly; tests pin the two paths equal."""
-    import ray
-
+    exchange and emits the DROP list of owner keys (duplicate passages
+    only, dedup-candidate sized), MATERIALIZED so its exact size picks the
+    scrub (:func:`_scrub_route`): :func:`_scrub_passages_broadcast` or
+    :func:`_scrub_passages_join`, value-identical (pinned by test)."""
     from .windows import _hash_parts
 
     def skinny(batch: pa.Table) -> pa.Table:
@@ -1387,10 +1400,7 @@ def drop_dup_passages(docs_ds, chunk: int = 20, path: str | None = None,
             return empty
         denc = batch["h"].combine_chunks().dictionary_encode()
         codes = np.asarray(denc.indices, dtype=np.int64)
-        key = (
-            batch["doc_id"].to_numpy(zero_copy_only=False) * _CI_BOUND
-            + batch["ci"].to_numpy(zero_copy_only=False)
-        )
+        key = _owner_key(batch).to_numpy(zero_copy_only=False)
         first = np.full(len(denc.dictionary), np.iinfo(np.int64).max, np.int64)
         np.minimum.at(first, codes, key)
         return pa.Table.from_pydict(
@@ -1405,71 +1415,104 @@ def drop_dup_passages(docs_ds, chunk: int = 20, path: str | None = None,
         .map_batches(dup_keys, batch_format="pyarrow", batch_size=None)
         .materialize()
     )
-    if path is None:
-        path = "join" if drops.count() > broadcast_threshold else "broadcast"
-    if path == "join":
-        return _drop_dup_passages_join(docs_ds, drops, chunk)
-    # keys left the h-hash exchange already globally unique — pull the
-    # column (np.unique = defensive sort+dedup), skip Dataset.unique's
-    # second all-to-all
+    return _scrub_route(drops)(docs_ds, drops, chunk, _owner_key)
+
+
+def _owner_key(p: pa.Table) -> pa.Array:
+    """Passage rows -> their owner key doc_id * _CI_BOUND + ci, the key
+    column of :func:`drop_dup_passages`' drop list."""
+    return pa.array(
+        p["doc_id"].to_numpy(zero_copy_only=False) * _CI_BOUND
+        + p["ci"].to_numpy(zero_copy_only=False),
+        pa.int64(),
+    )
+
+
+def _line_key(p: pa.Table) -> pa.Array:
+    """Passage rows -> their line hash, the key column of
+    :func:`drop_frequent_lines`' drop list."""
+    return p["h"].combine_chunks()
+
+
+def _scrub_route(drops):
+    """The scrub for a materialized drop-key list: broadcast while the
+    list fits one partition, else the join."""
+    if fits_one_partition(drops.count()):
+        return _scrub_passages_broadcast
+    return _scrub_passages_join
+
+
+_SCRUB_SCHEMA = pa.schema(
+    [
+        ("doc_id", pa.int64()),
+        ("n_kept", pa.int64()),
+        ("n_dropped", pa.int64()),
+        ("text", pa.string()),
+    ]
+)
+
+
+def _kept_text(doc: np.ndarray, keep: np.ndarray, ptext: pa.Array) -> pa.Table:
+    """Passage rows, doc-contiguous in ci order, and their keep mask ->
+    one (doc_id, n_kept, n_dropped, text) row per document, its kept
+    passages joined by single spaces. The rebuild of both scrubs."""
+    d_start = np.flatnonzero(np.concatenate(([True], doc[1:] != doc[:-1])))
+    d_len = np.diff(np.append(d_start, len(doc)))
+    kept_per_doc = np.add.reduceat(keep.astype(np.int64), d_start)
+    offs = np.concatenate(([0], np.cumsum(kept_per_doc))).astype(np.int32)
+    text = pc.binary_join(
+        pa.ListArray.from_arrays(pa.array(offs), ptext.filter(pa.array(keep))),
+        " ",
+    )
+    return pa.Table.from_pydict(
+        {
+            "doc_id": pa.array(doc[d_start], pa.int64()),
+            "n_kept": pa.array(kept_per_doc, pa.int64()),
+            "n_dropped": pa.array(d_len - kept_per_doc, pa.int64()),
+            "text": text,
+        },
+        schema=_SCRUB_SCHEMA,
+    )
+
+
+def _sortable(keys: np.ndarray) -> np.ndarray:
+    """A key column as numpy that sorts and searchsorts: string keys (line
+    hashes) as fixed-width bytes, int64 keys as they are."""
+    return keys.astype("S") if keys.dtype == object else keys
+
+
+def _scrub_passages_broadcast(docs_ds, drops, chunk: int, keyer):
+    """Shared broadcast scrub, the twin of :func:`_scrub_passages_join`:
+    the drop keys (``drops``' ``key`` column, matching ``keyer(p)``) go
+    to every task once as a sorted array, and each documents block is
+    split into passages, filtered by one searchsorted and rebuilt in the
+    same pure map — document text never enters an exchange."""
+    import ray
+
     from .functions.tables import pull_column_numpy
 
-    drop_keys = np.unique(pull_column_numpy(drops, "key", np.int64))
-    drop_ref = ray.put(drop_keys)
+    # keys left the key-hash exchange already globally unique: pull the
+    # column (np.unique = defensive sort+dedup), no second Dataset.unique
+    # all-to-all
+    drop_ref = ray.put(np.unique(_sortable(pull_column_numpy(drops, "key"))))
 
-    def rebuild(batch: pa.Table, drop_ref=drop_ref) -> pa.Table:
-        dk = ray.get(drop_ref) if isinstance(drop_ref, ray.ObjectRef) else drop_ref
+    def rebuild(batch: pa.Table) -> pa.Table:
         p = _passage_rows(batch, chunk, with_text=True)
         if p.num_rows == 0:
-            return pa.Table.from_pydict(
-                {
-                    "doc_id": pa.array([], pa.int64()),
-                    "n_kept": pa.array([], pa.int64()),
-                    "n_dropped": pa.array([], pa.int64()),
-                    "text": pa.array([], pa.string()),
-                }
-            )
-        doc = p["doc_id"].to_numpy(zero_copy_only=False)
-        key = doc * _CI_BOUND + p["ci"].to_numpy(zero_copy_only=False)
-        pos = np.searchsorted(dk, key)
-        pos = np.clip(pos, 0, max(len(dk) - 1, 0))
-        dropped = (dk[pos] == key) if len(dk) else np.zeros(len(key), bool)
-        keep = ~dropped
-        # per-doc segments (passages are emitted doc-contiguous, ci order)
-        d_start = np.flatnonzero(np.concatenate(([True], doc[1:] != doc[:-1])))
-        d_len = np.diff(np.append(d_start, len(doc)))
-        kept_per_doc = np.add.reduceat(keep.astype(np.int64), d_start)
-        kept_text = p["ptext"].combine_chunks().filter(pa.array(keep))
-        offs = np.concatenate(([0], np.cumsum(kept_per_doc))).astype(np.int32)
-        joined = pc.binary_join(
-            pa.ListArray.from_arrays(pa.array(offs), kept_text), " "
-        )
-        return pa.Table.from_pydict(
-            {
-                "doc_id": pa.array(doc[d_start], pa.int64()),
-                "n_kept": pa.array(kept_per_doc, pa.int64()),
-                "n_dropped": pa.array(d_len - kept_per_doc, pa.int64()),
-                "text": joined,
-            }
+            return _SCRUB_SCHEMA.empty_table()
+        dk = ray.get(drop_ref)
+        key = _sortable(keyer(p).to_numpy(zero_copy_only=False))
+        dropped = np.zeros(len(key), bool)
+        if len(dk):
+            pos = np.minimum(np.searchsorted(dk, key), len(dk) - 1)
+            dropped = dk[pos] == key
+        return _kept_text(
+            p["doc_id"].to_numpy(zero_copy_only=False),
+            ~dropped,
+            p["ptext"].combine_chunks(),
         )
 
     return docs_ds.map_batches(rebuild, batch_format="pyarrow")
-
-
-def _drop_dup_passages_join(docs_ds, drops, chunk: int):
-    """The no-broadcast twin of :func:`drop_dup_passages`: passages
-    left-outer join the drop-key list (key-hash co-partitioned), then one
-    doc_id-keyed exchange rebuilds every document per block. Value-
-    identical to the broadcast path (pinned by test)."""
-
-    def owner_key(p: pa.Table) -> pa.Array:
-        return pa.array(
-            p["doc_id"].to_numpy(zero_copy_only=False) * _CI_BOUND
-            + p["ci"].to_numpy(zero_copy_only=False),
-            pa.int64(),
-        )
-
-    return _scrub_passages_join(docs_ds, drops, chunk, owner_key)
 
 
 def _scrub_passages_join(docs_ds, drops, chunk: int, keyer):
@@ -1478,7 +1521,8 @@ def _scrub_passages_join(docs_ds, drops, chunk: int, keyer):
     :func:`drop_frequent_lines`) left-outer join the drop-key list
     (key-hash co-partitioned), then one doc_id-keyed exchange rebuilds
     every document per block. ``drops`` must carry a matching ``key``
-    column. Value-identical to the broadcast paths (pinned by tests)."""
+    column. Value-identical to :func:`_scrub_passages_broadcast` (pinned
+    by tests)."""
     from .windows import _hash_parts
 
     # the join carries EXPLODED rows, not documents — size accordingly (an
@@ -1518,44 +1562,19 @@ def _scrub_passages_join(docs_ds, drops, chunk: int, keyer):
         on=("key",),
     )
 
-    empty_out = pa.Table.from_pydict(
-        {
-            "doc_id": pa.array([], pa.int64()),
-            "n_kept": pa.array([], pa.int64()),
-            "n_dropped": pa.array([], pa.int64()),
-            "text": pa.array([], pa.string()),
-        }
-    )
-
     def rebuild_block(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:
-            return empty_out
+            return _SCRUB_SCHEMA.empty_table()
         doc = batch["doc_id"].to_numpy(zero_copy_only=False)
         ci = batch["ci"].to_numpy(zero_copy_only=False)
         order = np.lexsort((ci, doc))
         dropped = pc.is_valid(batch["dropped"].combine_chunks()).to_numpy(
             zero_copy_only=False
         )[order]
-        keep = ~dropped
-        doc_s = doc[order]
-        ptext = batch["ptext"].combine_chunks().take(pa.array(order))
-        d_start = np.flatnonzero(
-            np.concatenate(([True], doc_s[1:] != doc_s[:-1]))
-        )
-        d_len = np.diff(np.append(d_start, len(doc_s)))
-        kept_per_doc = np.add.reduceat(keep.astype(np.int64), d_start)
-        kept_text = ptext.filter(pa.array(keep))
-        offs = np.concatenate(([0], np.cumsum(kept_per_doc))).astype(np.int32)
-        joined_text = pc.binary_join(
-            pa.ListArray.from_arrays(pa.array(offs), kept_text), " "
-        )
-        return pa.Table.from_pydict(
-            {
-                "doc_id": pa.array(doc_s[d_start], pa.int64()),
-                "n_kept": pa.array(kept_per_doc, pa.int64()),
-                "n_dropped": pa.array(d_len - kept_per_doc, pa.int64()),
-                "text": joined_text,
-            }
+        return _kept_text(
+            doc[order],
+            ~dropped,
+            batch["ptext"].combine_chunks().take(pa.array(order)),
         )
 
     return _hash_parts(joined, ["doc_id"], rows).map_batches(
@@ -1563,9 +1582,7 @@ def _scrub_passages_join(docs_ds, drops, chunk: int, keyer):
     )
 
 
-def drop_frequent_lines(docs_ds, chunk: int = 5, min_count: int = 3,
-                        path: str | None = None,
-                        broadcast_threshold: int = 2_000_000):
+def drop_frequent_lines(docs_ds, chunk: int = 5, min_count: int = 3):
     """CCNet-style boilerplate-line removal -> (doc_id, n_kept, n_dropped,
     text): split each document into consecutive ``chunk``-token lines,
     count every line's occurrences across the WHOLE corpus, and drop ALL
@@ -1577,19 +1594,10 @@ def drop_frequent_lines(docs_ds, chunk: int = 5, min_count: int = 3,
     Pass A ships only pre-aggregated (h, n) partials through one h-keyed
     exchange (map-side combine: each block counts its own lines first),
     emits the frequent-line hash set, MATERIALIZED so its exact size
-    picks the rebuild path:
-
-    - ``broadcast`` (<= ``broadcast_threshold`` keys, the common case —
-      only lines repeated >= min_count times corpus-wide qualify): hashes
-      broadcast once as a sorted bytes array; the rebuild is a second
-      pure map and document text never enters an exchange.
-    - ``join`` (pathological boilerplate mass, the fallback): lines
-      left-outer join the drop keys via :func:`_scrub_passages_join` —
-      text moves through two exchanges but never lands on the driver.
-
-    ``path`` forces one explicitly; tests pin the two paths equal."""
-    import ray
-
+    picks the scrub (:func:`_scrub_route`; only lines repeated >=
+    min_count times corpus-wide qualify, so the broadcast is the common
+    case): :func:`_scrub_passages_broadcast` or
+    :func:`_scrub_passages_join`, value-identical (pinned by test)."""
     from .windows import _hash_parts
 
     def skinny_counts(batch: pa.Table) -> pa.Table:
@@ -1599,7 +1607,7 @@ def drop_frequent_lines(docs_ds, chunk: int = 5, min_count: int = 3,
         p = _passage_rows(batch, chunk, with_text=False)
         if p.num_rows == 0:
             return empty
-        denc = p["h"].combine_chunks().dictionary_encode()
+        denc = _line_key(p).dictionary_encode()
         codes = np.asarray(denc.indices, dtype=np.int64)
         return pa.Table.from_pydict(
             {
@@ -1636,58 +1644,7 @@ def drop_frequent_lines(docs_ds, chunk: int = 5, min_count: int = 3,
         .map_batches(frequent, batch_format="pyarrow", batch_size=None)
         .materialize()
     )
-    if path is None:
-        path = "join" if drops.count() > broadcast_threshold else "broadcast"
-    if path == "join":
-        return _scrub_passages_join(
-            docs_ds, drops, chunk, lambda p: p["h"].combine_chunks(),
-        )
-    # frequent-line hashes are unique per h-partition post-exchange: pull
-    # directly, no second Dataset.unique shuffle
-    from .functions.tables import pull_column_numpy
-
-    # np.asarray encodes the object ndarray directly — no .tolist() copy
-    drop_keys = np.unique(
-        np.asarray(pull_column_numpy(drops, "key"), dtype="S32")
-    )
-    drop_ref = ray.put(drop_keys)
-
-    def rebuild(batch: pa.Table, drop_ref=drop_ref) -> pa.Table:
-        dk = ray.get(drop_ref) if isinstance(drop_ref, ray.ObjectRef) else drop_ref
-        p = _passage_rows(batch, chunk, with_text=True)
-        if p.num_rows == 0:
-            return pa.Table.from_pydict(
-                {
-                    "doc_id": pa.array([], pa.int64()),
-                    "n_kept": pa.array([], pa.int64()),
-                    "n_dropped": pa.array([], pa.int64()),
-                    "text": pa.array([], pa.string()),
-                }
-            )
-        doc = p["doc_id"].to_numpy(zero_copy_only=False)
-        hs = np.asarray(p["h"].to_numpy(zero_copy_only=False), dtype="S32")
-        pos = np.searchsorted(dk, hs)
-        pos = np.clip(pos, 0, max(len(dk) - 1, 0))
-        dropped = (dk[pos] == hs) if len(dk) else np.zeros(len(hs), bool)
-        keep = ~dropped
-        d_start = np.flatnonzero(np.concatenate(([True], doc[1:] != doc[:-1])))
-        d_len = np.diff(np.append(d_start, len(doc)))
-        kept_per_doc = np.add.reduceat(keep.astype(np.int64), d_start)
-        kept_text = p["ptext"].combine_chunks().filter(pa.array(keep))
-        offs = np.concatenate(([0], np.cumsum(kept_per_doc))).astype(np.int32)
-        joined = pc.binary_join(
-            pa.ListArray.from_arrays(pa.array(offs), kept_text), " "
-        )
-        return pa.Table.from_pydict(
-            {
-                "doc_id": pa.array(doc[d_start], pa.int64()),
-                "n_kept": pa.array(kept_per_doc, pa.int64()),
-                "n_dropped": pa.array(d_len - kept_per_doc, pa.int64()),
-                "text": joined,
-            }
-        )
-
-    return docs_ds.map_batches(rebuild, batch_format="pyarrow")
+    return _scrub_route(drops)(docs_ds, drops, chunk, _line_key)
 
 
 # --- exact-substring duplication (Lee et al. 2021, arXiv:2107.06499) -------
@@ -1766,8 +1723,32 @@ def _span_cover_counts(doc_row: np.ndarray, s: np.ndarray, is_dup: np.ndarray,
     return out
 
 
-def dup_span_stats(docs_ds, n: int = 8, path: str | None = None,
-                   broadcast_threshold: int = 5_000_000):
+_SPAN_STATS_SCHEMA = pa.schema(
+    [
+        ("doc_id", pa.int64()),
+        ("n_tokens", pa.int64()),
+        ("n_dup_tokens", pa.int64()),
+        ("dup_frac", pa.float64()),
+    ]
+)
+
+
+def _span_stats(doc_id: np.ndarray, tok_counts: np.ndarray,
+                n_dup: np.ndarray) -> pa.Table:
+    """One :func:`dup_span_stats` output row per document."""
+    frac = round_away(n_dup / np.maximum(tok_counts, 1).astype(np.float64), 6)
+    return pa.Table.from_pydict(
+        {
+            "doc_id": doc_id,
+            "n_tokens": tok_counts,
+            "n_dup_tokens": n_dup,
+            "dup_frac": frac,
+        },
+        schema=_SPAN_STATS_SCHEMA,
+    )
+
+
+def dup_span_stats(docs_ds, n: int = 8):
     """Exact-substring duplication statistics (the suffix-array dedup of
     Lee et al. 2021, re-expressed as rolling-gram exchanges) ->
     (doc_id, n_tokens, n_dup_tokens, dup_frac): a token position counts
@@ -1778,29 +1759,20 @@ def dup_span_stats(docs_ds, n: int = 8, path: str | None = None,
     Pass A pre-aggregates gram-key counts map-side (np.unique per block)
     and ships only skinny (key, n) partials through one key-hash
     exchange; the duplicated-key set is MATERIALIZED and its size picks
-    pass B:
+    pass B (:func:`~my_ocr_ray.sizing.fits_one_partition`):
 
-    - ``broadcast``: dup keys broadcast once as a sorted int64 array;
-      coverage is a second pure map over documents (text never
-      exchanged).
-    - ``join`` (heavily duplicated corpora, the 100-TB fallback): gram
-      rows left-outer join the dup keys (key-hash co-partitioned), then
-      one doc_id-keyed exchange computes coverage per block; a sentinel
-      row per document (s = -1) keeps zero-gram docs in the output.
+    - broadcast (a key set that fits one partition): dup keys broadcast
+      once as a sorted int64 array; coverage is a second pure map over
+      documents (text never exchanged).
+    - join (heavily duplicated corpora, the 100-TB fallback): gram rows
+      left-outer join the dup keys (key-hash co-partitioned), then one
+      doc_id-keyed exchange computes coverage per block; a sentinel row
+      per document (s = -1) keeps zero-gram docs in the output.
 
-    ``path`` forces one explicitly; tests pin the two paths equal."""
+    Tests pin the two routes equal."""
     import ray
 
     from .windows import _hash_parts
-
-    empty_out = pa.Table.from_pydict(
-        {
-            "doc_id": pa.array([], pa.int64()),
-            "n_tokens": pa.array([], pa.int64()),
-            "n_dup_tokens": pa.array([], pa.int64()),
-            "dup_frac": pa.array([], pa.float64()),
-        }
-    )
 
     def skinny_counts(batch: pa.Table) -> pa.Table:
         _, _, key, _ = _gram_keys(batch, n)
@@ -1836,9 +1808,7 @@ def dup_span_stats(docs_ds, n: int = 8, path: str | None = None,
         .map_batches(dup_keys, batch_format="pyarrow", batch_size=None)
         .materialize()
     )
-    if path is None:
-        path = "join" if dups.count() > broadcast_threshold else "broadcast"
-    if path == "join":
+    if not fits_one_partition(dups.count()):
         return _dup_span_stats_join(docs_ds, dups, n)
     # gram keys are unique per key-partition post-exchange: pull directly,
     # no second Dataset.unique shuffle
@@ -1847,10 +1817,10 @@ def dup_span_stats(docs_ds, n: int = 8, path: str | None = None,
     dk = np.unique(pull_column_numpy(dups, "key", np.int64))
     dk_ref = ray.put(dk)
 
-    def cover(batch: pa.Table, dk_ref=dk_ref) -> pa.Table:
-        dk = ray.get(dk_ref) if isinstance(dk_ref, ray.ObjectRef) else dk_ref
+    def cover(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:
-            return empty_out
+            return _SPAN_STATS_SCHEMA.empty_table()
+        dk = ray.get(dk_ref)
         doc_row, s, key, tok_counts = _gram_keys(batch, n)
         if len(key) and len(dk):
             pos = np.clip(np.searchsorted(dk, key), 0, len(dk) - 1)
@@ -1858,18 +1828,8 @@ def dup_span_stats(docs_ds, n: int = 8, path: str | None = None,
         else:
             is_dup = np.zeros(len(key), bool)
         n_dup = _span_cover_counts(doc_row, s, is_dup, tok_counts, n)
-        return pa.Table.from_pydict(
-            {
-                "doc_id": batch["doc_id"],
-                "n_tokens": pa.array(tok_counts, pa.int64()),
-                "n_dup_tokens": pa.array(n_dup, pa.int64()),
-                "dup_frac": pa.array(
-                    round_away(
-                        n_dup / np.maximum(tok_counts, 1).astype(np.float64), 6
-                    ),
-                    pa.float64(),
-                ),
-            }
+        return _span_stats(
+            batch["doc_id"].to_numpy(zero_copy_only=False), tok_counts, n_dup
         )
 
     return docs_ds.map_batches(cover, batch_format="pyarrow")
@@ -1880,7 +1840,7 @@ def _dup_span_stats_join(docs_ds, dups, n: int):
     (doc_id, s, nt, key) — plus one sentinel row per document so
     zero-gram docs survive — left-outer join the dup-key list, then one
     doc_id-keyed exchange computes interval-union coverage per block.
-    Value-identical to the broadcast path (pinned by test)."""
+    Value-identical to the broadcast route (pinned by test)."""
     from .windows import _hash_parts
 
     # the join carries EXPLODED rows, not documents — size accordingly (an
@@ -1920,15 +1880,6 @@ def _dup_span_stats_join(docs_ds, dups, n: int):
             }
         )
 
-    empty_out = pa.Table.from_pydict(
-        {
-            "doc_id": pa.array([], pa.int64()),
-            "n_tokens": pa.array([], pa.int64()),
-            "n_dup_tokens": pa.array([], pa.int64()),
-            "dup_frac": pa.array([], pa.float64()),
-        }
-    )
-
     grams, num_partitions = hash_exchange(
         docs_ds.map_batches(gram_rows, batch_format="pyarrow"), rows
     )
@@ -1943,7 +1894,7 @@ def _dup_span_stats_join(docs_ds, dups, n: int):
 
     def cover_block(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:
-            return empty_out
+            return _SPAN_STATS_SCHEMA.empty_table()
         doc = batch["doc_id"].to_numpy(zero_copy_only=False)
         s = batch["s"].to_numpy(zero_copy_only=False)
         nt = batch["nt"].to_numpy(zero_copy_only=False)
@@ -1962,20 +1913,7 @@ def _dup_span_stats_join(docs_ds, dups, n: int):
         n_dup = _span_cover_counts(
             doc_row[is_gram], s[is_gram], dup[is_gram], tok_counts, n
         )
-        return pa.Table.from_pydict(
-            {
-                "doc_id": pa.array(doc[d_start], pa.int64()),
-                "n_tokens": pa.array(tok_counts, pa.int64()),
-                "n_dup_tokens": pa.array(n_dup, pa.int64()),
-                "dup_frac": pa.array(
-                    round_away(
-                        n_dup / np.maximum(tok_counts, 1).astype(np.float64),
-                        6,
-                    ),
-                    pa.float64(),
-                ),
-            }
-        )
+        return _span_stats(doc[d_start], tok_counts, n_dup)
 
     return _hash_parts(joined, ["doc_id"], rows).map_batches(
         cover_block, batch_format="pyarrow", batch_size=None
@@ -2060,8 +1998,7 @@ def _pagerank_single_block(batch: pa.Table, iters: int, damping: float) -> pa.Ta
     )
 
 
-def pagerank(pairs_ds, iters: int = 3, damping: float = 0.85,
-             small_graph_rows: int = 2_000_000):
+def pagerank(pairs_ds, iters: int = 3, damping: float = 0.85):
     """PageRank over the undirected candidate-pair graph — centrality
     ranking of near-dup neighbourhoods. The highest-rank member of a
     cluster is its most-connected document: an alternative canonical-
@@ -2075,7 +2012,8 @@ def pagerank(pairs_ds, iters: int = 3, damping: float = 0.85,
     dedup-candidate subset (≪ corpus); per iteration the rank table joins
     the degree-weighted edge list (src-keyed hash join) and contributions
     sum through one dst-keyed exchange, with the rank table materialized
-    between rounds so lineage stays one round deep. Small graphs take a
+    between rounds so lineage stays one round deep. A graph whose edges fit
+    one partition (:func:`~my_ocr_ray.sizing.fits_one_partition`) takes a
     single-block vectorized fast path (equality with the distributed path
     is pinned in tests)."""
     import ray.data
@@ -2108,7 +2046,7 @@ def pagerank(pairs_ds, iters: int = 3, damping: float = 0.85,
         )
 
     n_edges = edges.count()
-    if n_edges <= small_graph_rows:
+    if fits_one_partition(n_edges):
         return edges.repartition(1).map_batches(
             lambda b: _pagerank_single_block(b, iters, damping),
             batch_format="pyarrow", batch_size=None,
@@ -2290,9 +2228,8 @@ def fuzzy_decontaminate(
             {"band": pc.unique(rows["band"].combine_chunks())}
         )
 
-    ev = (
-        docs_ds.map_batches(eval_band_rows, batch_format="pyarrow")
-        .unique("band")
+    ev = distinct_values(
+        docs_ds.map_batches(eval_band_rows, batch_format="pyarrow"), "band"
     )
     ev_ref = ray.put(np.sort(np.asarray(ev, dtype=np.int64)))
 

@@ -5,6 +5,12 @@ import numpy as np
 import pyarrow as pa
 
 
+def distinct_values(ds, col: str) -> list:
+    """``ds.unique(col)``: the distinct values of one column, ``[]`` for a
+    dataset with no rows (where Ray Data's ``unique`` returns None)."""
+    return ds.unique(col) or []
+
+
 def pull_column_numpy(ds, col: str, dtype=None) -> np.ndarray:
     """Driver-side concat of ONE column of a small materialized Dataset.
 
@@ -13,7 +19,7 @@ def pull_column_numpy(ds, col: str, dtype=None) -> np.ndarray:
     would pay a second groupby all-to-all and return a Python list; this
     pulls the column's blocks straight to the driver as numpy instead.
     Only call it on datasets known to fit driver memory (the callers all
-    gate on a broadcast row-count threshold first).
+    route on ``sizing.fits_one_partition`` of the row count first).
 
     Nulls in a non-float column are rejected: ``to_numpy(zero_copy_only=
     False)`` on a nulled int column silently yields float64 NaN that an int

@@ -17,7 +17,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.num import round_away_scalar
-from ..functions.tables import agg_named
+from ..functions.tables import agg_named, distinct_values
 
 SPAN_TOKENS = 8
 
@@ -1758,7 +1758,7 @@ def q_knn_graph_ivf(sf_dir: str):
 
 def q_knn_graph_auto(sf_dir: str):
     """Data-routed kNN self-join (the default entry point): exact while the
-    build side fits one actor's heap, IVF cell exchange past
+    build side fits one worker's heap, IVF cell exchange past
     KNN_EXACT_MAX_ROWS. At sf table sizes this routes exact, so the oracle
     is the same SQL as knn_graph — the routing threshold itself is pinned
     in unit tests, and the forced-IVF route by recall tests."""
@@ -2696,7 +2696,7 @@ def q_url_filter(sf_dir: str):
         .map_batches(canonicalize_url_batch, batch_format="pyarrow")
     )
     # distinct over the skinny domain column (domain cardinality ~ sources)
-    domains = sorted(canon.select_columns(["domain"]).unique("domain"))
+    domains = sorted(distinct_values(canon.select_columns(["domain"]), "domain"))
     blocked_ref = ray.put(frozenset(domains[::2]))  # ranks 1,3,5... in SQL
 
     def keep(batch: pa.Table) -> pa.Table:

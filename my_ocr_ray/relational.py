@@ -229,7 +229,9 @@ def broadcast_semi_anti_join(ds, key: str, build_keys_ds, build_key: str,
     in-block (the ``dedup.jaccard_pairs`` join shape)."""
     import ray
 
-    keys = np.asarray(sorted(build_keys_ds.unique(build_key)))
+    from .functions.tables import distinct_values
+
+    keys = np.asarray(sorted(distinct_values(build_keys_ds, build_key)))
     keys_ref = ray.put(keys)
 
     def flt(batch: pa.Table, keys_ref=keys_ref) -> pa.Table:

@@ -1,8 +1,9 @@
-"""Cluster sizing: the one place pool and partition sizes are decided.
+"""Cluster sizing: the one place partition sizes and routes are decided.
 
-Every actor-pool size, hash-exchange partition count and aggregator CPU
-claim in the engine is derived here from the live cluster, so a tuning
-constant has one home instead of a copy per call site.
+Every hash-exchange partition count, aggregator CPU claim and
+broadcast-or-exchange route in the engine is derived here from the live
+cluster or the data, so a tuning constant has one home instead of a copy
+per call site.
 
 - :func:`cluster_cpus` — logical CPUs of the Ray session (8 when none).
 - :func:`approx_rows` — row estimate from metadata, never executing a plan.
@@ -10,8 +11,8 @@ constant has one home instead of a copy per call site.
   partition counts for hash exchanges and joins.
 - :func:`hash_aggregators` — how many aggregator processes run those
   partitions.
-- :func:`actor_pool` — an actor-pool size that leaves ``reserve`` CPUs for
-  the tasks and exchanges running next to the pool.
+- :func:`fits_one_partition` — the one routing rule of the battery's
+  size-routed operators: hold a side whole in one process, or exchange it.
 - :func:`plan_context` — a dataset rebound to its own DataContext copy,
   so a plan's settings never reach the caller's datasets.
 - :func:`plan_task_slots` / :func:`admit_by_plan_slots` — the one slot
@@ -38,9 +39,11 @@ executor would wait for it silently. An unknown estimate takes that floor.
 Ray's default, one aggregator per partition (a join claiming up to 1 CPU
 each), is never used: at 8 CPUs such joins could not reserve memory.
 
-Resource fit: an actor pool, the hash-shuffle aggregators and the read /
-write tasks must all fit on the cluster at once, or the streaming executor
-stalls silently. The reserves and budgets below keep that property.
+A battery operator that can either hold one side whole (a broadcast
+array, a single-block graph kernel) or exchange it asks
+:func:`fits_one_partition` with that side's row count: the side is held
+whole only when it is known to fit the one partition an exchange would
+give it.
 """
 from __future__ import annotations
 
@@ -144,17 +147,12 @@ def exchange_partitions(rows: int | None) -> int:
     return hash_partitions(rows, cpus, max(2, min(8, cpus)))
 
 
-def actor_pool(reserve: float, cap: int | None = None) -> int:
-    """Actor-pool size: the cluster's CPUs minus ``reserve`` (read/write
-    tasks, exchange aggregators, upstream render tasks), at most ``cap``
-    (the work available) and at least one. A pool that takes every core
-    starves the tasks around it and stalls the streaming executor. Only a
-    stage whose ``__init__`` builds real per-process state runs as an actor
-    pool; every other stage is a callable instance run as tasks."""
-    n = int(cluster_cpus() - reserve)
-    if cap is not None:
-        n = min(cap, n)
-    return max(1, n)
+def fits_one_partition(rows: int | None) -> bool:
+    """True when ``rows`` is known and fits one hash partition
+    (``ROWS_PER_HASH_PARTITION``): the side may be held whole in one
+    process (broadcast, or one block) instead of exchanged. An unknown
+    size takes the exchange or join route."""
+    return rows is not None and rows <= ROWS_PER_HASH_PARTITION
 
 
 def plan_context(ds):

@@ -137,7 +137,7 @@ def _hash_parts(ds, keys, rows: int | None = None):
     4x CPUs — the same call that runs 8 partitions at bench scale plans
     hundreds at 100 TB) on aggregator processes that follow rows, within a
     total CPU claim of max(``sizing.AGGREGATOR_CPU_BUDGET``, 0.02 x
-    partitions), so growing data never starves neighbouring actor pools.
+    partitions), so growing data never starves the tasks next to it.
     The ``SIZING_LOG`` entry is what this call *planned*: Ray builds every
     operator of a plan with the last dataset's DataContext, so in a
     one-plan chain the last exchange's context sets every exchange's

@@ -103,6 +103,16 @@ def test_decontaminate_counts_distinct(ray_session):
     assert out[0]["doc_id"] == 5 and out[0]["n_overlap"] == 1
 
 
+def test_decontaminate_without_eval_grams(ray_session):
+    """An eval slice with no n-gram (no doc_id % eval_mod == 0 here)
+    contaminates nothing."""
+    import ray.data
+
+    t = _docs_table(["a b c d e f", "a b c d e x"], ids=[1, 5])
+    out = decontaminate(ray.data.from_arrow(t), eval_mod=97, n=5).take_all()
+    assert sorted((r["doc_id"], r["n_overlap"]) for r in out) == [(1, 0), (5, 0)]
+
+
 # ---------------------------------------------------------------------------
 # repetition
 # ---------------------------------------------------------------------------

@@ -31,6 +31,13 @@ def doc_table():
     )
 
 
+def _force_route(monkeypatch, fits: bool):
+    """Make every size-routed dedup operator take one route: the side held
+    whole (True) or exchanged (False). Only the rule is patched, never
+    ``ROWS_PER_HASH_PARTITION``, which the exchanges read too."""
+    from my_ocr_ray import dedup
+
+    monkeypatch.setattr(dedup, "fits_one_partition", lambda rows: fits)
 def test_exact_dedup_finds_duplicate(ray_session, doc_table):
     import ray.data
 
@@ -577,6 +584,58 @@ def test_knn_graph_ivf_recall_against_exact(ray_session):
     assert top1_hits / len(vecs) >= 0.9
 
 
+def test_knn_graph_empty_input(ray_session):
+    """An empty embedding dataset gives an empty (vec_id, rank, nbr_id,
+    sim) table, on the exact kernel and on the auto route."""
+    import pyarrow as pa
+    import ray.data
+
+    from my_ocr_ray.ann import knn_graph, knn_graph_auto
+
+    empty = ray.data.from_arrow(pa.Table.from_pydict({
+        "vec_id": pa.array([], pa.int64()),
+        "embedding": pa.array([], pa.list_(pa.float32())),
+    }))
+    for out in (knn_graph(empty, k=3), knn_graph_auto(empty, k=3)):
+        assert out.take_all() == []
+        assert out.schema().names == ["vec_id", "rank", "nbr_id", "sim"]
+
+
+def test_knn_graph_killed_task_worker_retries(ray_session, monkeypatch, tmp_path):
+    """The worker process running a kNN self-join task dies on its first
+    call: Ray Data retries the task (it carries the build side's ref, not
+    the matrix) and the graph is the one an undisturbed run gives."""
+    import os
+
+    import pyarrow as pa
+    import ray.data
+
+    from my_ocr_ray import ann
+
+    vecs = np.random.default_rng(5).normal(size=(30, 8))
+    ds = ray.data.from_arrow(pa.Table.from_pydict({
+        "vec_id": pa.array(range(30), pa.int64()),
+        "embedding": pa.array([list(v) for v in vecs], pa.list_(pa.float64())),
+    })).repartition(3)
+
+    def graph():
+        return sorted(tuple(r.values()) for r in ann.knn_graph(ds, k=3).take_all())
+
+    want = graph()
+    marker = str(tmp_path / "killed")
+
+    class KillOnce(ann._KnnSelfJoin):
+        def __call__(self, batch):
+            if not os.path.exists(marker):
+                open(marker, "w").close()
+                os._exit(1)
+            return super().__call__(batch)
+
+    monkeypatch.setattr(ann, "_KnnSelfJoin", KillOnce)
+    assert graph() == want
+    assert os.path.exists(marker)
+
+
 def test_knn_strategy_threshold():
     """Routing is a pure function of row count vs the exact-build budget."""
     from my_ocr_ray.ann import KNN_EXACT_MAX_ROWS, choose_knn_strategy
@@ -584,16 +643,16 @@ def test_knn_strategy_threshold():
     assert choose_knn_strategy(100) == "exact"
     assert choose_knn_strategy(KNN_EXACT_MAX_ROWS) == "exact"
     assert choose_knn_strategy(KNN_EXACT_MAX_ROWS + 1) == "ivf"
-    assert choose_knn_strategy(10, max_exact_rows=5) == "ivf"
 
 
-def test_knn_graph_auto_routes_both_paths(ray_session):
+def test_knn_graph_auto_routes_both_paths(ray_session, monkeypatch):
     """Below the budget auto == exact bit-for-bit; forcing the budget down
     takes the IVF route (same schema, high top-1 recall on clustered data)."""
     import numpy as np
     import pyarrow as pa
     import ray.data
 
+    from my_ocr_ray import ann
     from my_ocr_ray.ann import knn_graph, knn_graph_auto
 
     rng = np.random.default_rng(9)
@@ -622,10 +681,9 @@ def test_knn_graph_auto_routes_both_paths(ray_session):
     assert auto == exact
 
     # ivf route (budget forced below corpus size): valid shape + recall
+    monkeypatch.setattr(ann, "KNN_EXACT_MAX_ROWS", 10)
     approx = {}
-    for r in knn_graph_auto(
-        ds, k=3, max_exact_rows=10, n_centroids=4, nprobe=2
-    ).take_all():
+    for r in knn_graph_auto(ds, k=3, n_centroids=4, nprobe=2).take_all():
         approx[(r["vec_id"], r["rank"])] = r["nbr_id"]
         assert r["vec_id"] != r["nbr_id"]
     assert len({s for s, _ in approx}) == len(vecs)
@@ -699,10 +757,12 @@ def test_embedding_clusters_merges_duplicate_chain(ray_session):
     assert got == {7: 7, 31: 7, 44: 7}
 
 
-def test_connected_components_distributed_path_matches_fast_path(ray_session):
-    """Forcing the iterative distributed path (small_graph_rows=0) yields
-    exactly the labels of the single-block kernel on a multi-cluster chain
-    graph."""
+def test_connected_components_distributed_path_matches_fast_path(
+    ray_session, monkeypatch
+):
+    """Forcing the iterative distributed path (the routing rule answering
+    False) yields exactly the labels of the single-block kernel on a
+    multi-cluster chain graph."""
     import pyarrow as pa
     import ray.data
 
@@ -716,13 +776,13 @@ def test_connected_components_distributed_path_matches_fast_path(ray_session):
         }
     )
     expect = {1: 1, 2: 1, 3: 1, 4: 1, 10: 10, 11: 10}
-    for rows_cap in (0, 10_000):
+    for fits in (False, True):
+        _force_route(monkeypatch, fits)
         out = connected_components(
-            ray.data.from_arrow(pairs).repartition(2),
-            small_graph_rows=rows_cap,
+            ray.data.from_arrow(pairs).repartition(2)
         ).take_all()
         got = {r["doc_id"]: r["cluster_id"] for r in out}
-        assert got == expect, f"small_graph_rows={rows_cap}"
+        assert got == expect, f"fits_one_partition={fits}"
 
 
 def test_drop_dup_passages_keeps_first_owner_text(ray_session):
@@ -779,7 +839,7 @@ def test_diff_snapshots_classifies_three_statuses(ray_session):
     assert got == {1: "removed", 3: "changed", 4: "added"}  # 2 unchanged
 
 
-def test_pagerank_hand_values_and_path_equality(ray_session):
+def test_pagerank_hand_values_and_path_equality(ray_session, monkeypatch):
     """3-node path graph verified by hand after 1 iteration; the
     distributed per-round join path equals the single-block fast path on
     a larger graph."""
@@ -811,14 +871,14 @@ def test_pagerank_hand_values_and_path_equality(ray_session):
     edges = [(i, i + 1) for i in range(1, 6)] + [(10, 11), (11, 12), (10, 12)]
     fast = {r["doc_id"]: r["rank"]
             for r in pagerank(pairs_ds(edges), iters=3).take_all()}
+    _force_route(monkeypatch, False)
     dist = {r["doc_id"]: r["rank"]
-            for r in pagerank(pairs_ds(edges), iters=3,
-                              small_graph_rows=0).take_all()}
+            for r in pagerank(pairs_ds(edges), iters=3).take_all()}
     assert set(fast) == set(dist)
     assert all(abs(fast[k] - dist[k]) < 1e-9 for k in fast)
 
 
-def test_drop_dup_passages_join_path_equals_broadcast(ray_session):
+def test_drop_dup_passages_join_path_equals_broadcast(ray_session, monkeypatch):
     """Round-3 (VERDICT r2 item 3): the no-broadcast join fallback is
     value-identical to the broadcast membership filter."""
     import pyarrow as pa
@@ -845,8 +905,10 @@ def test_drop_dup_passages_join_path_equals_broadcast(ray_session):
             (r["doc_id"], r["n_kept"], r["n_dropped"], r["text"]) for r in rows
         )
 
-    bc = norm(drop_dup_passages(ds, chunk=2, path="broadcast").take_all())
-    jn = norm(drop_dup_passages(ds, chunk=2, path="join").take_all())
+    _force_route(monkeypatch, True)
+    bc = norm(drop_dup_passages(ds, chunk=2).take_all())
+    _force_route(monkeypatch, False)
+    jn = norm(drop_dup_passages(ds, chunk=2).take_all())
     assert bc == jn
     assert any(r[2] > 0 for r in bc)  # some passages actually dropped
 
@@ -885,7 +947,7 @@ def test_drop_frequent_lines_drops_all_copies(ray_session):
     }
 
 
-def test_drop_frequent_lines_join_path_equals_broadcast(ray_session):
+def test_drop_frequent_lines_join_path_equals_broadcast(ray_session, monkeypatch):
     import pyarrow as pa
     import ray.data
 
@@ -908,10 +970,10 @@ def test_drop_frequent_lines_join_path_equals_broadcast(ray_session):
             (r["doc_id"], r["n_kept"], r["n_dropped"], r["text"]) for r in rows
         )
 
-    bc = norm(drop_frequent_lines(ds, chunk=2, min_count=3,
-                                  path="broadcast").take_all())
-    jn = norm(drop_frequent_lines(ds, chunk=2, min_count=3,
-                                  path="join").take_all())
+    _force_route(monkeypatch, True)
+    bc = norm(drop_frequent_lines(ds, chunk=2, min_count=3).take_all())
+    _force_route(monkeypatch, False)
+    jn = norm(drop_frequent_lines(ds, chunk=2, min_count=3).take_all())
     assert bc == jn
     assert any(r[2] > 0 for r in bc)   # the banner line was dropped
     assert any(r[2] == 0 for r in bc)  # unique docs untouched
@@ -957,7 +1019,7 @@ def test_dup_span_stats_hand_values(ray_session):
     }
 
 
-def test_dup_span_stats_join_path_equals_broadcast(ray_session):
+def test_dup_span_stats_join_path_equals_broadcast(ray_session, monkeypatch):
     import pyarrow as pa
     import ray.data
 
@@ -985,15 +1047,17 @@ def test_dup_span_stats_join_path_equals_broadcast(ray_session):
             for r in rows
         )
 
-    bc = norm(dup_span_stats(ds, n=5, path="broadcast").take_all())
-    jn = norm(dup_span_stats(ds, n=5, path="join").take_all())
+    _force_route(monkeypatch, True)
+    bc = norm(dup_span_stats(ds, n=5).take_all())
+    _force_route(monkeypatch, False)
+    jn = norm(dup_span_stats(ds, n=5).take_all())
     assert bc == jn
     assert len(bc) == 30                    # zero-gram docs survive the join
     assert any(r[2] > 0 for r in bc)        # the shared run is flagged
     assert any(r[1] < 5 and r[2] == 0 for r in bc)
 
 
-def test_incremental_dedup_join_path_equals_broadcast(ray_session):
+def test_incremental_dedup_join_path_equals_broadcast(ray_session, monkeypatch):
     import pyarrow as pa
     import ray.data
 
@@ -1020,12 +1084,38 @@ def test_incremental_dedup_join_path_equals_broadcast(ray_session):
     def norm(rows):
         return sorted((r["doc_id"], r["fp"]) for r in rows)
 
-    bc = norm(incremental_dedup(nds, kds, path="broadcast").take_all())
-    jn = norm(incremental_dedup(nds, kds, path="join").take_all())
+    _force_route(monkeypatch, True)
+    bc = norm(incremental_dedup(nds, kds).take_all())
+    _force_route(monkeypatch, False)
+    jn = norm(incremental_dedup(nds, kds).take_all())
     assert bc == jn
     # doc 10 is a normalized dup of known doc 1; 11/12 dedup to 11;
     # 13 ("GAMMA" lowercased) dups known "gamma"
     assert [d for d, _ in bc] == [11]
+
+
+@pytest.mark.parametrize("fits", [True, False], ids=["broadcast", "join"])
+def test_incremental_dedup_empty_side(ray_session, monkeypatch, fits):
+    """An empty snapshot (the first run of an incremental ingest) keeps
+    every distinct new document, and an empty new batch yields no row, on
+    both routes."""
+    import pyarrow as pa
+    import ray.data
+
+    from my_ocr_ray.dedup import incremental_dedup
+
+    def docs(ids, texts):
+        return ray.data.from_arrow(pa.Table.from_pydict({
+            "doc_id": pa.array(ids, pa.int64()),
+            "text": pa.array(texts, pa.string()),
+        }))
+
+    new = ([10, 11, 12], ["fresh text", "Fresh  text", "other"])
+    _force_route(monkeypatch, fits)
+    first_run = incremental_dedup(docs(*new), docs([], [])).take_all()
+    assert sorted(r["doc_id"] for r in first_run) == [10, 12]
+    assert incremental_dedup(docs([], []), docs(*new)).take_all() == []
+    assert incremental_dedup(docs([], []), docs([], [])).take_all() == []
 
 
 def test_embedding_cov_and_pca(ray_session):

@@ -205,6 +205,25 @@ def test_broadcast_semi_anti_join(ray_session):
     assert {r["k"] for r in anti} == {1, 3, 5}
 
 
+def test_broadcast_semi_anti_join_empty_build_side(ray_session):
+    """A build side with no rows keeps no probe row (semi) and every probe
+    row (anti)."""
+    import ray.data
+
+    from my_ocr_ray.relational import broadcast_semi_anti_join
+
+    probe = pa.Table.from_pydict({"k": pa.array([1, 2, 3], pa.int64())})
+    build = ray.data.from_arrow(
+        pa.Table.from_pydict({"bk": pa.array([], pa.int64())})
+    )
+    semi = broadcast_semi_anti_join(ray.data.from_arrow(probe), "k", build, "bk")
+    anti = broadcast_semi_anti_join(
+        ray.data.from_arrow(probe), "k", build, "bk", anti=True
+    )
+    assert semi.take_all() == []
+    assert sorted(r["k"] for r in anti.take_all()) == [1, 2, 3]
+
+
 def test_interval_merge_islands(ray_session):
     """Overlap and touch merge; gaps split; islands number per user;
     start/end/count verified by hand."""

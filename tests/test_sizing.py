@@ -1,19 +1,20 @@
 """``my_ocr_ray.sizing`` is the one home of the cluster-sizing policy.
 
 The table tests drive the real call sites (``extract()``, ``_hash_parts``,
-the battery joins that used to plan a fixed 8 partitions, the kNN pool) on
-a recording stand-in dataset at a faked CPU count, and compare every pool
-size and partition count with the formulas each site used before the
-policy moved into ``sizing.py``. Those formulas
+the battery joins that used to plan a fixed 8 partitions) on a recording
+stand-in dataset at a faked CPU count, and compare every pool size and
+partition count with the formulas each site used before the policy moved
+into ``sizing.py``. Those formulas
 are copied here verbatim as the reference. The aggregator rule is pinned
 by its own cases and by a table over the battery's exchanges and joins
 (aggregators follow rows, a join claims what a shuffle does, also without
 a row estimate); source and signature guards keep the policy in one place
-(no battery operator takes a sizing argument, ``configure_hash_shuffle``
+(no battery operator takes a sizing or routing argument, no routing
+threshold is written outside ``sizing.py``, ``configure_hash_shuffle``
 always takes a row estimate), two live tests run the join plan on a
 real Ray session (one aggregator process per exchange, and the caller's
-DataContext left as it was), and one runs the stateless battery stages
-live: none starts an actor pool.
+DataContext left as it was), and the battery stages run live: none,
+the kNN self-join included, starts an actor pool.
 """
 import re
 import types
@@ -46,10 +47,6 @@ def ref_extract_partitions(n_docs, cpus):  # extract(), inline
         return min(16, floor)
     by_data = -(-n_docs * 8 // 2_000_000)
     return int(max(floor, min(cap, by_data)))
-
-
-def ref_ann_pool(requested, cpus):  # ann._pool_size
-    return max(1, min(requested, cpus - 1))
 
 
 # --- a dataset stand-in that records what the plan asked for --------------
@@ -402,10 +399,27 @@ def test_battery_aggregators_follow_rows(cpus, fake_cpus):
 
 
 @pytest.mark.parametrize("cpus", CPUS)
-def test_actor_pools_match_parent(cpus, fake_cpus):
+def test_actor_pools_match_parent(cpus, fake_cpus, ray_session):
+    """The one battery actor pool the parent sized (``knn_graph``'s) is
+    gone at every CPU count: no kNN plan holds an ``ActorPoolMapOperator``
+    (the self-join runs as tasks), and ``sizing`` sizes no pool."""
+    import numpy as np
+    import pyarrow as pa
+    import ray.data
+    from ray.data._internal.logical.optimizers import get_execution_plan
+
+    from my_ocr_ray import ann
+
     fake_cpus(cpus)
-    for requested in (1, 2, 4, 8, 64):  # the knn_graph pool: cap 4
-        assert sizing.actor_pool(1, cap=requested) == ref_ann_pool(requested, cpus)
+    vecs = np.random.default_rng(cpus).normal(size=(8, 4))
+    emb = ray.data.from_arrow(pa.table({
+        "vec_id": pa.array(range(8), pa.int64()),
+        "embedding": pa.array([list(v) for v in vecs], pa.list_(pa.float64())),
+    }))
+    for plan in (ann.knn_graph(emb, k=2), ann.knn_graph_auto(emb, k=2)):
+        dag = get_execution_plan(plan._logical_plan).dag.dag_str
+        assert "MapBatches(_KnnSelfJoin)" in dag and "ActorPool" not in dag, dag
+    assert not hasattr(sizing, "actor_pool")
 
 
 def test_cluster_cpus_default_without_ray(monkeypatch):
@@ -445,7 +459,10 @@ def test_battery_budget_only_in_sizing():
 _BATTERY_MODULES = ("dedup", "windows", "corpus", "relational", "ann",
                     "pipelines.evaluate", "pipelines.kie")
 _SIZING_PARAMS = {"num_partitions", "join_num_partitions", "agg_blocks",
-                  "aggregator_cpu_budget", "concurrency"}
+                  "aggregator_cpu_budget", "concurrency",
+                  # routing: sizing.fits_one_partition decides every route
+                  "path", "broadcast_threshold", "small_graph_rows",
+                  "max_exact_rows", "n_rows"}
 
 
 def test_battery_operators_take_no_sizing_arguments():
@@ -461,6 +478,22 @@ def test_battery_operators_take_no_sizing_arguments():
             bad = _SIZING_PARAMS & set(inspect.signature(fn).parameters)
             found += [f"{name}.{fname}({p})" for p in sorted(bad)]
     assert found == []
+
+
+def test_routing_thresholds_only_in_sizing():
+    """The size-routed operators take their route from
+    ``sizing.fits_one_partition``: no routing threshold is written
+    anywhere else."""
+    pat = re.compile(r"\b[25]_000_000\b")
+    hits = sorted(path for path, src in _sources().items() if pat.search(src))
+    assert hits == ["sizing.py"]
+
+
+def test_fits_one_partition():
+    assert sizing.fits_one_partition(0)
+    assert sizing.fits_one_partition(sizing.ROWS_PER_HASH_PARTITION)
+    assert not sizing.fits_one_partition(sizing.ROWS_PER_HASH_PARTITION + 1)
+    assert not sizing.fits_one_partition(None)  # unknown: exchange or join
 
 
 def test_configure_hash_shuffle_requires_rows():
@@ -601,7 +634,7 @@ def _stateless_stage_plan(name, sf_dir, ray_session):
     if name == "kie_rowcol":
         return kie_rowcol(ray.data.read_parquet(
             f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]))
-    if name not in ("brute_force_topk", "ivf_topk"):
+    if name not in ("brute_force_topk", "ivf_topk", "knn_graph"):
         return getattr(queries, f"q_{name}")(sf_dir)
     vecs = np.random.default_rng(3).normal(size=(64, 8))
     emb = ray.data.from_arrow(pa.table({
@@ -611,11 +644,13 @@ def _stateless_stage_plan(name, sf_dir, ray_session):
     qref = ray_session.put({"qids": np.arange(4, dtype=np.int64), "vectors": vecs[:4]})
     if name == "brute_force_topk":
         return ann.brute_force_topk(emb, qref, k=3)
+    if name == "knn_graph":
+        return ann.knn_graph(emb, k=3)
     return ann.ivf_topk(emb, qref, centroids=vecs[:4], k=3, nprobe=2)
 
 
 @pytest.mark.parametrize("name", [
-    "kie_rowcol", "brute_force_topk", "ivf_topk", "pdf_layout",
+    "kie_rowcol", "brute_force_topk", "ivf_topk", "knn_graph", "pdf_layout",
     "audio_features", "video_frames", "decode_variants",
 ])
 def test_stateless_battery_stages_start_no_actor(ray_session, tiny_sf_dir, name):
